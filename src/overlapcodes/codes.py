@@ -8,53 +8,65 @@ p || middle || s; they are valid exactly when no t-prefix of P meets a
 t-suffix of S.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Iterable, Optional, TextIO
 
 from .errors import CapacityError, DomainError
-from .words import MAX_BITS, BitWord, int_overlap, int_to_bits
+from .words import MAX_BITS, BitWord, int_overlap
 
 # refuse to materialize codes larger than this
 EXPANSION_CAP = 1 << 22
 ORACLE_MAX_N = 10
 
 
+def _words(bits: int, values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as a strictly increasing tuple of bits-bit ints, repeats merged."""
+    if not 1 <= bits <= MAX_BITS:
+        raise DomainError(f"{what} {bits} out of range 1..{MAX_BITS}")
+    words = sorted(values)
+    if not all(map(lt, words, islice(words, 1, None))):
+        words = sorted(set(words))
+    if words and (words[0] < 0 or words[-1] >> bits):
+        raise DomainError(f"words {words[0]}..{words[-1]} do not fit in {bits} bits")
+    return tuple(words)
+
+
 @dataclass(frozen=True)
 class Code:
-    """A set of distinct binary words sharing one length n."""
+    """A set of distinct binary words of one length n, as sorted ints."""
 
     n: int
-    words: frozenset[BitWord]
+    words: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_BITS:
-            raise DomainError(f"word length {self.n} out of range 1..{MAX_BITS}")
-        for w in self.words:
-            if w.length != self.n:
-                raise DomainError(
-                    f"word {w} has length {w.length}, expected {self.n}"
-                )
+        object.__setattr__(self, "words", _words(self.n, self.words, "word length"))
 
     @classmethod
     def from_values(cls, n: int, values: Iterable[int]) -> "Code":
-        return cls(n, frozenset(BitWord(n, v) for v in values))
+        return cls(n, values)
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "Code":
-        ws = frozenset(BitWord(len(s), int(s, 2)) for s in strings)
-        if not ws:
+        strings = list(strings)
+        if not strings:
             raise DomainError("cannot infer length of an empty code")
-        n = next(iter(ws)).length
-        return cls(n, ws)
+        n = len(strings[0])
+        for s in strings:
+            if len(s) != n or s.strip("01"):
+                raise DomainError(f"word {s!r} is not a binary word of length {n}")
+        return cls(n, (int(s, 2) for s in strings))  # n is checked first
 
     def values(self) -> list[int]:
-        return sorted(w.value for w in self.words)
+        return list(self.words)
 
     def __len__(self):
         return len(self.words)
 
     def __iter__(self):
-        return iter(sorted(self.words))
+        return (BitWord(self.n, v) for v in self.words)
 
 
 @dataclass(frozen=True)
@@ -76,53 +88,51 @@ def is_overlap_free(
 
     On failure the witness is the smallest violation under (t, u, v) order.
     """
-    n = code.n
+    n, words = code.n, code.words
     if not 1 <= t1 <= t2 <= n - 1:
         raise DomainError(f"need 1 <= t1 <= t2 <= n-1, got t1={t1}, t2={t2}, n={n}")
-    values = code.values()
+    # Size-t overlaps depend only on the words' t-bit heads and tails. Up to
+    # width `base` (at most 2^base <= len/16 of each) these are cut from the
+    # base-width heads and tails; wider ones come straight from the words.
+    base = min(t2, len(words).bit_length() - 5)
+    if base >= t1:
+        wide = (base, set(map((n - base).__rrshift__, words)),
+                set(map(((1 << base) - 1).__and__, words)))
     for t in range(t1, t2 + 1):
-        mask = (1 << t) - 1
-        shift = n - t
-        best_v: dict[int, int] = {}
-        for v in values:
-            s = v & mask
-            if s not in best_v:
-                best_v[s] = v
-        for u in values:
-            hit = best_v.get(u >> shift)
-            if hit is not None:
-                return False, OverlapWitness(BitWord(n, u), BitWord(n, hit), t)
+        width, heads, tails = wide if t <= base else (n, words, words)
+        mask, shift = (1 << t) - 1, n - t
+        t_tails = set(map(mask.__and__, tails))
+        hits = t_tails.intersection(map((width - t).__rrshift__, heads))
+        if hits:
+            # words are sorted by head: u is the first word with the least hit
+            hit = min(hits)
+            u = words[bisect_left(words, hit << shift)]
+            v = next(v for v in words if v & mask == hit)
+            return False, OverlapWitness(BitWord(n, u), BitWord(n, v), t)
     return True, None
 
 
 @dataclass(frozen=True)
 class PrefixSuffixSystem:
-    """A pair (P, S) of k-bit word sets driving the p || x || s construction."""
+    """A pair (P, S) of k-bit word sets, as sorted ints, for p || x || s."""
 
     k: int
-    prefixes: frozenset[BitWord]
-    suffixes: frozenset[BitWord]
+    prefixes: tuple[int, ...]
+    suffixes: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_BITS:
-            raise DomainError(f"width {self.k} out of range 1..{MAX_BITS}")
-        for w in self.prefixes | self.suffixes:
-            if w.length != self.k:
-                raise DomainError(f"word {w} has length {w.length}, expected {self.k}")
+        object.__setattr__(self, "prefixes", _words(self.k, self.prefixes, "width"))
+        object.__setattr__(self, "suffixes", _words(self.k, self.suffixes, "width"))
 
     @classmethod
     def from_values(cls, k: int, p: Iterable[int], s: Iterable[int]):
-        return cls(
-            k,
-            frozenset(BitWord(k, v) for v in p),
-            frozenset(BitWord(k, v) for v in s),
-        )
+        return cls(k, p, s)
 
     def prefix_values(self) -> list[int]:
-        return sorted(w.value for w in self.prefixes)
+        return list(self.prefixes)
 
     def suffix_values(self) -> list[int]:
-        return sorted(w.value for w in self.suffixes)
+        return list(self.suffixes)
 
 
 def validate_system(
@@ -133,12 +143,9 @@ def validate_system(
     On failure, returns the smallest t and the smallest colliding t-word.
     """
     k = sys.k
-    pv = sys.prefix_values()
-    sv = sys.suffix_values()
     for t in range(1, k + 1):
-        ptops = {p >> (k - t) for p in pv}
-        stails = {s & ((1 << t) - 1) for s in sv}
-        clash = ptops & stails
+        tails = {s & ((1 << t) - 1) for s in sys.suffixes}
+        clash = tails.intersection(p >> (k - t) for p in sys.prefixes)
         if clash:
             return False, (t, BitWord(t, min(clash)))
     return True, None
@@ -160,20 +167,16 @@ def expand_system(sys: PrefixSuffixSystem, n: int) -> Code:
         raise CapacityError(
             f"explicit expansion needs n <= {MAX_BITS}; use symbolic_size instead"
         )
-    mid = n - 2 * k
-    total = len(sys.prefixes) * len(sys.suffixes) << mid
+    total = len(sys.prefixes) * len(sys.suffixes) << (n - 2 * k)
     if total > EXPANSION_CAP:
         raise CapacityError(
             f"expansion would create {total} words (cap {EXPANSION_CAP})"
         )
-    out = []
-    for p in sys.prefix_values():
-        top = p << (n - k)
-        for x in range(1 << mid):
-            body = top | (x << k)
-            for s in sys.suffix_values():
-                out.append(body | s)
-    return Code.from_values(n, out)
+    # p ascending, then the middle, then s: the words come out sorted
+    top, step = n - k, 1 << k
+    return Code(n, [body | s for p in sys.prefixes
+                    for body in range(p << top, (p + 1) << top, step)
+                    for s in sys.suffixes])
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +184,8 @@ def expand_system(sys: PrefixSuffixSystem, n: int) -> Code:
 
 
 def write_code(code: Code, fh: TextIO):
-    fh.write(f"# n={code.n} q=2\n")
-    for v in code.values():
-        fh.write(int_to_bits(v, code.n) + "\n")
+    line = f"{{:0{code.n}b}}\n".format
+    fh.writelines([f"# n={code.n} q=2\n", *map(line, code.words)])
 
 
 def read_code(fh: TextIO) -> Code:
@@ -191,28 +193,24 @@ def read_code(fh: TextIO) -> Code:
     values = []
     for lineno, raw in enumerate(fh, 1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+        if line.strip("01"):  # a comment or header, else not a binary word
+            if not line.startswith("#"):
+                raise DomainError(f"line {lineno}: invalid word {line!r}")
             body = line[1:].strip()
             if n is None and not values and body.startswith("n="):
                 try:
                     n = int(body.split()[0][2:])
                 except ValueError as exc:
                     raise DomainError(f"line {lineno}: bad header {line!r}") from exc
-            continue
-        if set(line) - {"0", "1"}:
-            raise DomainError(f"line {lineno}: invalid word {line!r}")
-        if n is None:
-            n = len(line)
-        elif len(line) != n:
-            raise DomainError(
-                f"line {lineno}: word length {len(line)} != {n}"
-            )
-        values.append(int(line, 2))
+        elif line:
+            if len(line) != n:
+                if n is not None:
+                    raise DomainError(f"line {lineno}: word length {len(line)} != {n}")
+                n = len(line)
+            values.append(int(line, 2))
     if n is None:
         raise DomainError("no words and no header in code file")
-    return Code.from_values(n, values)
+    return Code(n, values)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ def m_minimum(k: int) -> MMinResult:
         range(best_m),
         (s for s in range(1 << k) if deaths[s] >= best_m),
     )
-    assert len(system.suffixes) == best_alive
+    if len(system.suffixes) != best_alive:
+        raise AssertionError("m-minimum survivor count disagrees with the scan")
     return MMinResult(k, best_m, system, SymbolicSize(best_prod, 2 * k))
 
 
@@ -201,7 +202,8 @@ def zero_block(k: int, emit_sets: bool = False) -> ZeroBlockResult:
         suffixes = [
             s for s in range(1, 1 << k, 2) if run not in int_to_bits(s, k)
         ]
-        assert len(suffixes) == fib_nstep(z, k + 1)
+        if len(suffixes) != fib_nstep(z, k + 1):
+            raise AssertionError("zero-block suffix count disagrees with F(z, k+1)")
         system = PrefixSuffixSystem.from_values(
             k, range(1 << (k - z)), suffixes
         )

@@ -6,7 +6,6 @@ values in published tables can be compared as strings.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,8 +20,8 @@ class FibTable:
     """Memoized z-step Fibonacci sequence.
 
     F(i) = 0 for -z+2 <= i <= 0, F(1) = 1, and each later term is the sum
-    of the z preceding terms. Not safe for concurrent writers; use one
-    table per thread (the CLI builds one per invocation).
+    of the z preceding terms. The table grows on demand as later terms are
+    asked for.
     """
 
     def __init__(self, z: int):
@@ -45,20 +44,18 @@ class FibTable:
 
 
 _fib_tables: dict[int, FibTable] = {}
-_fib_lock = threading.Lock()
 
 
 def fib_nstep(z: int, i: int) -> int:
     """F_i of the z-step Fibonacci sequence, exact.
 
-    The shared per-z tables are extended under a lock, so concurrent readers
-    see each index computed exactly once.
+    One table per z is kept and shared by every call, so each index is
+    computed once per process.
     """
-    with _fib_lock:
-        table = _fib_tables.get(z)
-        if table is None:
-            table = _fib_tables[z] = FibTable(z)
-        return table.value(i)
+    table = _fib_tables.get(z)
+    if table is None:
+        table = _fib_tables[z] = FibTable(z)
+    return table.value(i)
 
 
 def count_no_zero_run(length: int, run: int) -> int:

@@ -34,6 +34,7 @@ from overlapcodes import (
 )
 from overlapcodes.constructions import gl_words
 from overlapcodes.graph import adjacent
+from overlapcodes.words import int_to_bits
 
 
 class Stopwatch:
@@ -108,7 +109,7 @@ def test_criterion_03_mmin_reference_table():
         "011101", "011111", "100111", "101011", "101101", "101111",
         "110011", "110101", "110111", "111011", "111101", "111111",
     ]
-    assert sorted(str(w) for w in res6.system.suffixes) == expected_suffixes
+    assert sorted(int_to_bits(v, 6) for v in res6.system.suffixes) == expected_suffixes
     report("C3 m-minimum table", watch.check("m-minimum to k=14"))
 
 

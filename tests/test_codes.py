@@ -66,7 +66,7 @@ def test_validate_system_examples():
 
 def test_expand_system_examples():
     code = expand_system(syst(2, [0b00, 0b01], [0b11]), 5)
-    assert sorted(str(w) for w in code.words) == [
+    assert sorted(str(w) for w in code) == [
         "00011", "00111", "01011", "01111",
     ]
     assert len(code) == 2 * 1 * 2
@@ -143,9 +143,23 @@ def test_code_file_parsing_rules():
         read_code(io.StringIO("# only a comment\n"))
 
 
+@pytest.mark.parametrize("word", ["0b11", "0_11", "+011", "01 10", "\uff11\uff10"])
+def test_read_code_rejects_non_binary_words(word):
+    # int(word, 2) reads most of these; a code file must not
+    text = f"# n={len(word)} q=2\n{'1' * len(word)}\n{word}\n"
+    with pytest.raises(DomainError, match=r"^line 3: invalid word"):
+        read_code(io.StringIO(text))
+    with pytest.raises(DomainError):
+        Code.from_strings(["1" * len(word), word])
+
+
 def test_code_rejects_mixed_lengths():
     with pytest.raises(DomainError):
-        Code(4, frozenset({next(iter(Code.from_strings(["001"]).words))}))
+        Code.from_strings(["001", "0011"])
+    with pytest.raises(DomainError):
+        Code.from_values(3, [8])
+    with pytest.raises(DomainError):
+        Code.from_strings([""])
 
 
 def test_oracle_known_optima():

@@ -16,6 +16,7 @@ from overlapcodes import (
     zero_block,
 )
 from overlapcodes.constructions import PUBLISHED_TIE_BREAKS, gl_words
+from overlapcodes.words import int_to_bits
 
 # reference products per width (doubling construction)
 DOUBLING_PRODUCTS = {
@@ -69,14 +70,14 @@ def test_doubling_first_steps_match_worked_narrative():
     assert by_k[3].system.prefix_values() == [0b000, 0b001, 0b010]
     assert by_k[3].system.suffix_values() == [0b011, 0b111]
     assert by_k[4].system.prefix_values() == [0, 1, 2, 4, 5]
-    assert sorted(str(w) for w in by_k[4].system.suffixes) == [
+    assert sorted(int_to_bits(v, 4) for v in by_k[4].system.suffixes) == [
         "0011", "0111", "1011", "1111",
     ]
-    assert sorted(str(w) for w in by_k[5].system.prefixes) == [
+    assert sorted(int_to_bits(v, 5) for v in by_k[5].system.prefixes) == [
         "00000", "00001", "00010", "00100",
         "00101", "01000", "01001", "01010",
     ]
-    assert sorted(str(w) for w in by_k[5].system.suffixes) == [
+    assert sorted(int_to_bits(v, 5) for v in by_k[5].system.suffixes) == [
         "00011", "00111", "01011", "01111",
         "10011", "10111", "11011", "11111",
     ]
@@ -135,12 +136,12 @@ def test_mmin_explicit_sets_k6_k7():
     res6 = m_minimum(6)
     assert res6.m == 12
     assert res6.system.prefix_values() == list(range(12))
-    assert sorted(str(w) for w in res6.system.suffixes) == sorted(MMIN_K6_SUFFIXES)
+    assert sorted(int_to_bits(v, 6) for v in res6.system.suffixes) == sorted(MMIN_K6_SUFFIXES)
 
     res7 = m_minimum(7)
     assert res7.m == 24
     assert res7.system.prefix_values() == list(range(24))
-    assert sorted(str(w) for w in res7.system.suffixes) == sorted(MMIN_K7_SUFFIXES)
+    assert sorted(int_to_bits(v, 7) for v in res7.system.suffixes) == sorted(MMIN_K7_SUFFIXES)
 
 
 def test_mmin_systems_are_valid_and_suffixes_maximal():
@@ -187,11 +188,11 @@ def test_zero_block_explicit_sets():
         assert len(sysm.suffixes) == fib_nstep(res.z, k + 1)
         assert validate_system(sysm)[0]
         zero_run = "0" * res.z
-        for w in sysm.suffixes:
-            assert str(w).endswith("1")
-            assert zero_run not in str(w)
-        for w in sysm.prefixes:
-            assert str(w).startswith(zero_run)
+        for v in sysm.suffixes:
+            assert int_to_bits(v, k).endswith("1")
+            assert zero_run not in int_to_bits(v, k)
+        for v in sysm.prefixes:
+            assert int_to_bits(v, k).startswith(zero_run)
 
 
 def test_zero_block_never_beats_mmin():
