@@ -56,7 +56,6 @@ from .graph import (
     max_cardinality_search,
     max_product_search,
     mis_matching_certificate,
-    unreduced_search,
 )
 from .tables import TableReport, golden_tables, reproduce_table
 from .words import BitWord, cyclic_shift, from_integer, parse, prefix, suffix, t_overlap
@@ -110,7 +109,6 @@ __all__ = [
     "suffix",
     "symbolic_size",
     "t_overlap",
-    "unreduced_search",
     "upper_bound_1k",
     "upper_bound_graph",
     "upper_bound_weak",

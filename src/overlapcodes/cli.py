@@ -167,7 +167,7 @@ def _cmd_graph_opt(args) -> int:
         if args.objective == "product"
         else graph.max_cardinality_search
     )
-    res = search(g, time_budget=args.time_budget, canonical=args.canonical)
+    res = search(g, node_budget=args.node_budget, canonical=args.canonical)
     payload = {
         "k": args.k,
         "objective": args.objective,
@@ -188,7 +188,7 @@ def _cmd_graph_opt(args) -> int:
         print("x_set\t" + " ".join(payload["x_set"]))
         print("y_set\t" + " ".join(payload["y_set"]))
     if not res.optimal:
-        print("warning: time budget exhausted, result may be sub-optimal",
+        print("warning: node budget exhausted, result may be sub-optimal",
               file=sys.stderr)
     return EXIT_OK
 
@@ -331,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--objective", choices=("product", "cardinality"),
                    default="product")
-    p.add_argument("--time-budget", type=float, metavar="SECONDS",
-                   help="best-effort budget for k beyond the exact range")
+    p.add_argument("--node-budget", type=int, metavar="N",
+                   default=graph.NODE_BUDGET,
+                   help="search nodes before giving up (default %(default)s)")
     p.add_argument("--canonical", action="store_true",
                    help="lexicographically smallest optimal prefix side")
     p.set_defaults(func=_cmd_graph_opt)

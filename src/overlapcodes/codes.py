@@ -14,6 +14,7 @@ from itertools import islice
 from operator import lt
 from typing import Iterable, Optional, TextIO
 
+from . import search
 from .errors import CapacityError, DomainError
 from .words import MAX_BITS, BitWord, int_overlap
 
@@ -217,68 +218,6 @@ def read_code(fh: TextIO) -> Code:
 # exact maximum-code oracle for small n
 
 
-def _max_weight_independent_set(adj: list[int], weights: list[int]) -> tuple[int, int]:
-    """Exact max-weight independent set; returns (weight, chosen bitmask).
-
-    Branch and bound on bitmasks: branch on the highest-degree live vertex,
-    bound by a greedy clique cover (each clique contributes its max weight).
-    """
-    m = len(adj)
-    best_w = 0
-    best_mask = 0
-
-    def cover_bound(mask: int) -> int:
-        bound = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            top = weights[v]
-            cand = rest & adj[v]
-            clique = 1 << v
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                if weights[u] > top:
-                    top = weights[u]
-                clique |= 1 << u
-                cand &= adj[u]
-            rest &= ~clique
-            bound += top
-        return bound
-
-    def dfs(mask: int, acc: int, chosen: int):
-        nonlocal best_w, best_mask
-        if acc > best_w:
-            best_w, best_mask = acc, chosen
-        if not mask:
-            return
-        if acc + cover_bound(mask) <= best_w:
-            return
-        v, deg = -1, -1
-        mm = mask
-        while mm:
-            u = (mm & -mm).bit_length() - 1
-            d = (adj[u] & mask).bit_count()
-            if d > deg:
-                deg, v = d, u
-            mm &= mm - 1
-        if deg == 0:
-            # remaining vertices are pairwise compatible: take them all
-            total = acc
-            mm = mask
-            while mm:
-                u = (mm & -mm).bit_length() - 1
-                total += weights[u]
-                mm &= mm - 1
-            if total > best_w:
-                best_w, best_mask = total, chosen | mask
-            return
-        dfs(mask & ~(adj[v] | (1 << v)), acc + weights[v], chosen | (1 << v))
-        dfs(mask & ~(1 << v), acc, chosen)
-
-    dfs((1 << m) - 1, 0, 0)
-    return best_w, best_mask
-
-
 def brute_force_max_code(
     n: int, t1: int, t2: int, canonical: bool = False
 ) -> tuple[int, Code]:
@@ -324,44 +263,31 @@ def brute_force_max_code(
                 adj[j] |= 1 << i
 
     weights = [len(classes[s]) for s in sigs]
-    size, chosen = _max_weight_independent_set(adj, weights)
+    size, chosen = search.max_weight_independent_set(adj, weights, (1 << nc) - 1)
 
-    if canonical and nc:
-        chosen = _lex_smallest_classes(adj, weights, sigs, classes, size)
+    if canonical:
+        # classes are disjoint, every optimum uses whole classes and all
+        # optima hold the same number of words, so deciding classes in order
+        # of their smallest member gives the least sorted word list; sorted
+        # (head, tail) signatures are already in that order
+
+        def best_with(kept, rest):
+            taken = sum(1 << i for i in kept)
+            live = sum(1 << j for j in rest)
+            for i in kept:
+                if adj[i] & taken:
+                    return -1
+                live &= ~adj[i]
+            rest_w, _ = search.max_weight_independent_set(adj, weights, live)
+            return sum(weights[i] for i in kept) + rest_w
+
+        kept = search.lex_refine(list(range(nc)), size, best_with)
+        if sum(weights[i] for i in kept) != size:
+            raise AssertionError("canonical refinement lost the optimum")
+        chosen = sum(1 << i for i in kept)
 
     values = []
     for i, s in enumerate(sigs):
         if (chosen >> i) & 1:
             values.extend(classes[s])
     return size, Code.from_values(n, values)
-
-
-def _lex_smallest_classes(adj, weights, sigs, classes, best_w):
-    """Optimal class set whose sorted word union is lexicographically least.
-
-    Classes are disjoint, every optimum uses whole classes, and all optima
-    hold the same number of words, so deciding classes in order of their
-    smallest member (keep one iff the optimum stays reachable) is exact.
-    """
-    nc = len(sigs)
-    order = sorted(range(nc), key=lambda i: classes[sigs[i]][0])
-    chosen_mask = 0
-    chosen_w = 0
-    avail = (1 << nc) - 1
-    for i in order:
-        if not (avail >> i) & 1:
-            continue
-        trial_avail = avail & ~(adj[i] | (1 << i))
-        rest_w, _ = _max_weight_independent_set(
-            [adj[j] & trial_avail for j in range(nc)],
-            [w if (trial_avail >> j) & 1 else 0 for j, w in enumerate(weights)],
-        )
-        if chosen_w + weights[i] + rest_w >= best_w:
-            chosen_mask |= 1 << i
-            chosen_w += weights[i]
-            avail = trial_avail
-        else:
-            avail &= ~(1 << i)
-    if chosen_w != best_w:
-        raise AssertionError("canonical refinement lost the optimum")
-    return chosen_mask

@@ -9,19 +9,19 @@ sides therefore describe codes, of size |X| * |Y| * 2^(n-2k).
 The searches exploit the two-sided reduction: a non-trivial independent
 set lies (up to complementing every bit) inside X_0 u Y_1, the prefixes
 starting 0 and suffixes ending 1, and the suffix side can always be taken
-maximal. Enumeration is over subsets of X_0 only, with branch and bound.
+maximal. Enumeration is over subsets of X_0 only, with the branch and
+bound of the search module reading its neighbour masks from the graph rows.
 """
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
+from . import search
 from .counting import SymbolicSize
 from .errors import CapacityError, DomainError
+from .search import NODE_BUDGET
 from .words import BitWord, int_overlap
 
 GRAPH_MAX_K = 16
-SEARCH_EXACT_K = 6
 
 
 def adjacent(p: int, s: int, k: int) -> bool:
@@ -45,7 +45,9 @@ class OverlapGraph:
 
 
 def build_overlap_graph(k: int) -> OverlapGraph:
-    if not 1 <= k <= GRAPH_MAX_K:
+    if k < 1:
+        raise DomainError(f"need k >= 1, got k={k}")
+    if k > GRAPH_MAX_K:
         raise CapacityError(f"adjacency table covers 1 <= k <= {GRAPH_MAX_K}")
     # row(p) = union over t of the periodic mask {s : s mod 2^t == prefix_t(p)}
     size = 1 << k
@@ -97,7 +99,7 @@ def _verify_independent(k: int, xs: list[int], ys: list[int]):
                 )
 
 
-def _result(k, xs, ys, objective, optimal):
+def _result(k, xs, ys, optimal):
     _verify_independent(k, xs, ys)
     return SearchResult(
         k=k,
@@ -109,188 +111,72 @@ def _result(k, xs, ys, objective, optimal):
     )
 
 
-class _Budget:
-    def __init__(self, seconds: Optional[float]):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.expired = False
-        self._tick = 0
-
-    def spent(self) -> bool:
-        if self.deadline is None:
-            return False
-        self._tick += 1
-        if self._tick & 0x3FF == 0 and time.monotonic() > self.deadline:
-            self.expired = True
-        return self.expired
-
-    def check_now(self) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.expired = True
-        return self.expired
-
-
-def _two_sided_search(
-    k: int,
-    objective: str,
-    x_candidates: list[int],
-    y_universe: list[int],
-    budget: _Budget,
-    preset_x: tuple[int, ...] = (),
-):
-    """Maximize (objective, the other objective) lexicographically over
-    pairs (X, Y): X a subset of the candidates plus the preset words, Y all
-    compatible suffixes.
-
-    Returns (best value pair, x list, y mask). The suffix side is forced
-    maximal, which never hurts either objective; candidates whose live
-    neighborhoods are empty are pulled in for the same reason.
-    """
-    nbr = []
-    for p in x_candidates:
-        if budget.check_now():
-            # truncated candidate list: any result is still a verified
-            # independent set, just flagged non-optimal by the caller
-            x_candidates = x_candidates[: len(nbr)]
-            break
-        mask = 0
-        for i, s in enumerate(y_universe):
-            if adjacent(p, s, k):
-                mask |= 1 << i
-        nbr.append(mask)
-    m = len(x_candidates)
-    order = sorted(range(m), key=lambda i: -nbr[i].bit_count())
-    nbr = [nbr[i] for i in order]
-    full = (1 << len(y_universe)) - 1
-    for p in preset_x:
-        for i, s in enumerate(y_universe):
-            if adjacent(p, s, k):
-                full &= ~(1 << i)
-    product_first = objective == "product"
-
-    best = [(0, 0), [], 0]
-
-    def value(xc: int, yc: int):
-        return (xc * yc, xc + yc) if product_first else (xc + yc, xc * yc)
-
-    def dfs(i: int, xcount: int, xset: list[int], ymask: int):
-        if budget.spent() or not ymask:
-            return
-        free = [j for j in range(i, m) if nbr[j] & ymask == 0]
-        xc = xcount + len(free)
-        yc = ymask.bit_count()
-        if xc:
-            v = value(xc, yc)
-            if v > best[0]:
-                best[0], best[1], best[2] = v, xset + free, ymask
-        rem = m - i
-        bound = (
-            ((xcount + rem) * yc, xcount + rem + yc)
-            if product_first
-            else (xcount + rem + yc, (xcount + rem) * yc)
-        )
-        if bound <= best[0]:
-            return
-        for j in range(i, m):
-            live = nbr[j] & ymask
-            if not live:
-                continue
-            ahead = [f for f in free if f < j]
-            dfs(j + 1, xcount + len(ahead) + 1, xset + ahead + [j], ymask & ~live)
-
-    dfs(0, len(preset_x), [], full)
-    xs = sorted(
-        list(preset_x) + [x_candidates[order[i]] for i in best[1]]
-    )
-    ys = [y_universe[i] for i in range(len(y_universe)) if (best[2] >> i) & 1]
-    return best[0], xs, ys
-
-
 def _run_search(
-    g: OverlapGraph,
-    objective: str,
-    time_budget: Optional[float],
-    reduced: bool,
-    canonical: bool = False,
+    g: OverlapGraph, objective: str, node_budget: int, canonical: bool
 ) -> SearchResult:
     if objective not in ("product", "cardinality"):
         raise DomainError(f"unknown objective {objective!r}")
-    k = g.k
-    if k > SEARCH_EXACT_K and time_budget is None and reduced:
-        time_budget = 60.0
-    budget = _Budget(time_budget)
-    if reduced:
-        xs_cand = list(range(1 << (k - 1)))  # words starting 0
-        ys_univ = [s for s in range(1 << k) if s & 1]  # words ending 1
-    else:
-        xs_cand = list(range(1 << k))
-        ys_univ = list(range(1 << k))
-    target, xs, ys = _two_sided_search(k, objective, xs_cand, ys_univ, budget)
-    if canonical and not budget.expired:
-        xs, ys = _lex_smallest(k, objective, xs_cand, ys_univ, target)
-    return _result(k, xs, ys, objective, optimal=not budget.expired)
-
-
-def _lex_smallest(k, objective, xs_cand, ys_univ, target):
-    """Greedy refinement: the optimum whose sorted prefix list is smallest.
-
-    Words are decided in ascending order; one is kept iff some optimum
-    extends the decisions so far with it included. Ties in list length are
-    resolved as if absent entries sorted last.
-    """
-    chosen: list[int] = []
-    for pos, cand in enumerate(xs_cand):
-        rest = xs_cand[pos + 1:]
-        got, _, _ = _two_sided_search(
-            k, objective, rest, ys_univ, _Budget(None),
-            preset_x=tuple(chosen) + (cand,),
-        )
-        if got >= target:
-            chosen.append(cand)
-    got, xs, ys = _two_sided_search(
-        k, objective, [], ys_univ, _Budget(None), preset_x=tuple(chosen)
+    if node_budget < 1:  # one node already finds a non-trivial set
+        raise DomainError(f"need a node budget >= 1, got {node_budget}")
+    k, rows = g.k, g.rows
+    candidates = list(range(1 << (k - 1)))  # words starting 0
+    universe = sum(1 << s for s in range(1, 1 << k, 2))  # words ending 1
+    target, xs, ymask, finished = search.two_sided_search(
+        rows, objective, candidates, universe, node_budget=node_budget
     )
-    if got != target:
-        raise AssertionError("canonical refinement lost the optimum")
-    return xs, ys
+    if canonical and finished:
+
+        def best_with(kept, rest):
+            return search.two_sided_search(
+                rows, objective, rest, _compatible(rows, kept, universe), len(kept)
+            )[0]
+
+        xs = search.lex_refine(candidates, target, best_with)
+        if best_with(xs, []) != target:
+            raise AssertionError("canonical refinement lost the optimum")
+        ymask = _compatible(rows, xs, universe)
+    ys = [s for s in range(1 << k) if ymask >> s & 1]
+    return _result(k, xs, ys, optimal=finished)
+
+
+def _compatible(rows, xs, ymask):
+    """The suffixes in ymask adjacent to no prefix in xs."""
+    for p in xs:
+        ymask &= ~rows[p]
+    return ymask
 
 
 def max_product_search(
     g: OverlapGraph,
-    time_budget: Optional[float] = None,
+    node_budget: int = NODE_BUDGET,
     canonical: bool = False,
 ) -> SearchResult:
     """Non-trivial independent set maximizing |X| * |Y|.
 
     Among product-optimal sets the one of largest cardinality is returned,
-    so .cardinality is the published per-k reference cardinality. Exact for
-    k <= 6; beyond that a time budget applies and the result may carry
-    optimal=False. With canonical=True the prefix side is additionally the
-    lexicographically smallest one attaining the optimum.
+    so .cardinality is the published per-k reference cardinality. The
+    search stops after node_budget search nodes (the default finishes for
+    every k <= 8); a stopped search returns the best set found so far with
+    optimal=False. With canonical=True the prefix side of a finished search
+    is additionally the lexicographically smallest one attaining the
+    optimum.
     """
-    return _run_search(g, "product", time_budget, reduced=True, canonical=canonical)
+    return _run_search(g, "product", node_budget, canonical)
 
 
 def max_cardinality_search(
     g: OverlapGraph,
-    time_budget: Optional[float] = None,
+    node_budget: int = NODE_BUDGET,
     canonical: bool = False,
 ) -> SearchResult:
     """Non-trivial independent set maximizing |X| + |Y| outright.
 
     The optimum equals 2^(k-1) + 1 (see mis_matching_certificate, whose
     extremal set attains the matching upper bound); the search recovers it
-    independently for small k.
+    independently for small k. node_budget and canonical act as in
+    max_product_search.
     """
-    return _run_search(
-        g, "cardinality", time_budget, reduced=True, canonical=canonical
-    )
-
-
-def unreduced_search(g: OverlapGraph, objective: str) -> SearchResult:
-    """Reduction-free exhaustive variant, for cross-checking small k."""
-    if g.k > 5:
-        raise CapacityError("unreduced search is a cross-check tool for k <= 5")
-    return _run_search(g, objective, None, reduced=False)
+    return _run_search(g, "cardinality", node_budget, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +200,10 @@ class MatchingCertificate:
 
 
 def mis_matching_certificate(k: int) -> MatchingCertificate:
-    if not 2 <= k <= GRAPH_MAX_K:
-        raise DomainError(f"need 2 <= k <= {GRAPH_MAX_K}")
+    if k < 2:
+        raise DomainError(f"need k >= 2, got k={k}")
+    if k > GRAPH_MAX_K:
+        raise CapacityError(f"certificate covers 2 <= k <= {GRAPH_MAX_K}")
     pairs: list[tuple[int, int]] = []
     # identity part: p starts 0 and ends 1, matched with its own suffix vertex
     for p in range(1 << (k - 1)):
@@ -343,7 +231,7 @@ def mis_matching_certificate(k: int) -> MatchingCertificate:
         raise AssertionError("certificate matching has the wrong size")
 
     ys = [s for s in range(1 << k) if s & 1]
-    extremal = _result(k, [0], ys, "cardinality", optimal=True)
+    extremal = _result(k, [0], ys, optimal=True)
     return MatchingCertificate(
         k=k,
         matching=tuple(

@@ -1,0 +1,147 @@
+"""Exact branch-and-bound searches and the canonical refinement they share.
+
+Both engines work on graphs given as bitmask neighbour rows: the two-sided
+search on the bipartite prefix/suffix graph, and the weighted independent
+set search on the oracle's signature-class graph. `lex_refine` turns either
+optimum into a canonical one.
+"""
+
+# Search nodes before the two-sided search gives up. Every reduced search up
+# to k = 8 finishes well inside it (k = 8 product takes 6.1e5 nodes); a k = 9
+# product search stops after about a minute (about 11 us a node under
+# CPython 3.11 on a 2-core x86-64 VM).
+NODE_BUDGET = 5_000_000
+
+
+def two_sided_search(rows, objective, candidates, ymask, xcount=0,
+                     node_budget=None):
+    """Maximize (objective, the other objective) lexicographically over
+    pairs (X, Y): X the xcount preset prefixes plus a subset of the
+    candidates, Y the suffixes in ymask compatible with every prefix in X.
+
+    rows[p] is the mask of suffix words adjacent to prefix p, and ymask must
+    already exclude the neighbours of the preset prefixes. Returns (best
+    value pair, chosen candidates, y mask, finished); finished is False when
+    node_budget search nodes ran out, and the result is then the best found
+    so far. The suffix side is forced maximal, which never hurts either
+    objective; candidates whose live neighbourhoods are empty are pulled in
+    for the same reason.
+    """
+    nbr = [rows[p] & ymask for p in candidates]
+    m = len(candidates)
+    order = sorted(range(m), key=lambda i: -nbr[i].bit_count())
+    nbr = [nbr[i] for i in order]
+    product_first = objective == "product"
+    left = float("inf") if node_budget is None else node_budget
+
+    best = [(0, 0), [], 0]
+
+    def value(xc: int, yc: int):
+        return (xc * yc, xc + yc) if product_first else (xc + yc, xc * yc)
+
+    def dfs(i: int, xcount: int, xset: list[int], ymask: int):
+        nonlocal left
+        left -= 1
+        if left < 0 or not ymask:
+            return
+        free = [j for j in range(i, m) if nbr[j] & ymask == 0]
+        xc = xcount + len(free)
+        yc = ymask.bit_count()
+        if xc:
+            v = value(xc, yc)
+            if v > best[0]:
+                best[0], best[1], best[2] = v, xset + free, ymask
+        if value(xcount + m - i, yc) <= best[0]:
+            return
+        for j in range(i, m):
+            live = nbr[j] & ymask
+            if not live:
+                continue
+            ahead = [f for f in free if f < j]
+            dfs(j + 1, xcount + len(ahead) + 1, xset + ahead + [j], ymask & ~live)
+
+    dfs(0, xcount, [], ymask)
+    xs = [candidates[order[i]] for i in best[1]]
+    return best[0], xs, best[2], left >= 0
+
+
+def max_weight_independent_set(
+    adj: list[int], weights: list[int], live: int
+) -> tuple[int, int]:
+    """Exact max-weight independent set among the live vertices; returns
+    (weight, chosen bitmask).
+
+    Branch and bound on bitmasks: branch on the highest-degree live vertex,
+    bound by a greedy clique cover (each clique contributes its max weight).
+    """
+    best_w = 0
+    best_mask = 0
+
+    def cover_bound(mask: int) -> int:
+        bound = 0
+        rest = mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            top = weights[v]
+            cand = rest & adj[v]
+            clique = 1 << v
+            while cand:
+                u = (cand & -cand).bit_length() - 1
+                if weights[u] > top:
+                    top = weights[u]
+                clique |= 1 << u
+                cand &= adj[u]
+            rest &= ~clique
+            bound += top
+        return bound
+
+    def dfs(mask: int, acc: int, chosen: int):
+        nonlocal best_w, best_mask
+        if acc > best_w:
+            best_w, best_mask = acc, chosen
+        if not mask:
+            return
+        if acc + cover_bound(mask) <= best_w:
+            return
+        v, deg = -1, -1
+        mm = mask
+        while mm:
+            u = (mm & -mm).bit_length() - 1
+            d = (adj[u] & mask).bit_count()
+            if d > deg:
+                deg, v = d, u
+            mm &= mm - 1
+        if deg == 0:
+            # remaining vertices are pairwise compatible: take them all
+            total = acc
+            mm = mask
+            while mm:
+                u = (mm & -mm).bit_length() - 1
+                total += weights[u]
+                mm &= mm - 1
+            if total > best_w:
+                best_w, best_mask = total, chosen | mask
+            return
+        dfs(mask & ~(adj[v] | (1 << v)), acc + weights[v], chosen | (1 << v))
+        dfs(mask & ~(1 << v), acc, chosen)
+
+    dfs(live, 0, 0)
+    return best_w, best_mask
+
+
+def lex_refine(candidates, target, best_with):
+    """Greedy refinement of an optimum into the canonical one.
+
+    Decides the candidates in the given order and keeps one iff an optimum
+    still extends the choices so far with it included: best_with(kept,
+    rest) returns the best value over solutions that hold every kept
+    candidate (the one on trial last), none of the dropped ones and any of
+    rest, the undecided candidates after it. The kept list is then the
+    least among those of the optima, compared in candidate order with
+    absent entries sorting last.
+    """
+    kept = []
+    for pos, cand in enumerate(candidates):
+        if best_with(kept + [cand], candidates[pos + 1:]) >= target:
+            kept.append(cand)
+    return kept

@@ -189,20 +189,21 @@ def test_oracle_capacity():
 
 
 def test_oracle_canonical_is_lexicographically_smallest():
-    size, code = brute_force_max_code(4, 1, 2, canonical=True)
-    assert size == 2
-    values = code.values()
-    # verify minimality against all optima by direct enumeration
-    import itertools
+    # n = 5 has two-word signature classes (the middle bit is free)
+    for n, want in ((4, 2), (5, 4)):
+        size, code = brute_force_max_code(n, 1, 2, canonical=True)
+        assert size == want
+        values = code.values()
+        # verify minimality against all optima by direct enumeration
+        import itertools
 
-    best = None
-    words = [w for w in range(16)]
-    ok_codes = []
-    for combo in itertools.combinations(words, size):
-        c = Code.from_values(4, combo)
-        if is_overlap_free(c, 1, 2)[0]:
-            ok_codes.append(sorted(combo))
-    assert values == min(ok_codes)
+        words = [w for w in range(1 << n)]
+        ok_codes = []
+        for combo in itertools.combinations(words, size):
+            c = Code.from_values(n, combo)
+            if is_overlap_free(c, 1, 2)[0]:
+                ok_codes.append(sorted(combo))
+        assert values == min(ok_codes)
 
 
 def test_oracle_canonical_keeps_optimum():

@@ -1,17 +1,20 @@
+from itertools import combinations
+
 import pytest
 
 from overlapcodes import (
     BitWord,
     CapacityError,
+    DomainError,
     SymbolicSize,
     build_overlap_graph,
     max_cardinality_search,
     max_product_search,
     mis_matching_certificate,
     t_overlap,
-    unreduced_search,
 )
 from overlapcodes.graph import adjacent
+from overlapcodes.search import two_sided_search
 
 # reference per-k optima: cardinality of the best-product set, product
 PUBLISHED = {1: (2, 1), 2: (3, 2), 3: (5, 6), 4: (9, 20), 5: (16, 64), 6: (30, 216)}
@@ -44,6 +47,14 @@ def test_graph_examples():
 def test_graph_capacity():
     with pytest.raises(CapacityError):
         build_overlap_graph(17)
+    with pytest.raises(CapacityError):
+        mis_matching_certificate(17)
+    for k in (0, -1):
+        with pytest.raises(DomainError):
+            build_overlap_graph(k)
+    for k in (1, 0):
+        with pytest.raises(DomainError):
+            mis_matching_certificate(k)
 
 
 def test_product_search_reference_values():
@@ -97,18 +108,26 @@ def test_search_matches_raw_subset_enumeration():
 
 
 def test_reduction_soundness_small_k():
+    # the engine on every prefix and every suffix, without the reduction to
+    # X_0 u Y_1, finds the same optimal (objective, other objective) pair
     for k in range(1, 6):
         g = build_overlap_graph(k)
+        words = list(range(1 << k))
         for objective, reduced in (
             ("product", max_product_search),
             ("cardinality", max_cardinality_search),
         ):
-            full = unreduced_search(g, objective)
+            full, xs, ymask, finished = two_sided_search(
+                g.rows, objective, words, (1 << (1 << k)) - 1
+            )
             red = reduced(g)
-            if objective == "product":
-                assert full.product == red.product
-            else:
-                assert full.cardinality == red.cardinality
+            pair = (red.product, red.cardinality)
+            assert finished
+            assert full == (pair if objective == "product" else pair[::-1])
+            ys = [s for s in words if ymask >> s & 1]
+            assert full[0] == (len(xs) * len(ys) if objective == "product"
+                               else len(xs) + len(ys))
+            assert not any(adjacent(p, s, k) for p in xs for s in ys)
 
 
 def test_complement_and_reversal_symmetries():
@@ -181,9 +200,49 @@ def test_canonical_product_search_prefix_side():
     assert values == sorted(values)
 
 
-def test_best_effort_budget_flag():
-    res = max_product_search(build_overlap_graph(7), time_budget=0.0005)
-    # tiny budget: whatever came back must be flagged accordingly
-    assert res.product >= 0
-    if not res.optimal:
-        assert res.x_size >= 0
+def test_canonical_search_matches_brute_force():
+    # every X inside X_0 with Y all compatible suffixes ending 1: the best
+    # (objective, other objective) pair, then the least sorted prefix list,
+    # a missing entry sorting after every word
+    for k in range(1, 5):
+        g = build_overlap_graph(k)
+        odd = range(1, 1 << k, 2)
+        sets = []
+        for size in range(1, (1 << (k - 1)) + 1):
+            for xs in combinations(range(1 << (k - 1)), size):
+                ys = [s for s in odd if not any(adjacent(p, s, k) for p in xs)]
+                if ys:
+                    sets.append((xs, ys))
+        for objective, search in (
+            ("product", max_product_search),
+            ("cardinality", max_cardinality_search),
+        ):
+            def key(xy):
+                a, b = len(xy[0]), len(xy[1])
+                best = (a * b, a + b) if objective == "product" else (a + b, a * b)
+                return (-best[0], -best[1], list(xy[0]) + [1 << k])
+
+            xs, ys = min(sets, key=key)
+            res = search(g, canonical=True)
+            assert res.optimal
+            assert [w.value for w in res.prefix_words] == list(xs)
+            assert [w.value for w in res.suffix_words] == ys
+
+
+def test_node_budget_stops_deterministically():
+    g = build_overlap_graph(8)
+    res = max_product_search(g, node_budget=1000)
+    assert not res.optimal
+    assert 1 <= res.product < 2640  # stopped short of the k = 8 optimum
+    assert res.product == res.x_size * res.y_size
+    for p in res.prefix_words:
+        for s in res.suffix_words:
+            assert not adjacent(p.value, s.value, 8)
+    assert max_product_search(g, node_budget=1000) == res
+    full = max_product_search(build_overlap_graph(7))
+    assert full.optimal and full.product == 744
+    one = max_product_search(g, node_budget=1)
+    assert not one.optimal and one.x_size == 1 and one.y_size == 128
+    for bad in (0, -1):
+        with pytest.raises(DomainError):
+            max_cardinality_search(g, node_budget=bad)

@@ -121,6 +121,10 @@ def test_cli_exit_codes_for_errors(capsys):
     status, _, err = run_cli(capsys, "verify", "--file", "/nonexistent",
                              "--t1", "1", "--t2", "2")
     assert status == 2
+    status, _, err = run_cli(capsys, "graph-opt", "--k", "0")
+    assert status == 2 and "error" in err
+    status, _, err = run_cli(capsys, "graph-opt", "--k", "17")
+    assert status == 3 and "capacity" in err
 
 
 def test_cli_oracle_emit_verify_round_trip(tmp_path, capsys):
@@ -169,6 +173,16 @@ def test_cli_graph_opt_json_schema(capsys):
     assert payload["product"] == 20
     assert payload["x_size"] * payload["y_size"] == 20
     assert all(len(w) == 4 for w in payload["x_set"])
+
+
+def test_cli_graph_opt_node_budget(capsys):
+    runs = [run_cli(capsys, "graph-opt", "--k", "8", "--node-budget", "1000")
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    status, out, err = runs[0]
+    assert status == 0
+    assert "optimal\tFalse" in out.splitlines()
+    assert "node budget exhausted" in err
 
 
 def test_cli_construction_json_schema(capsys):
