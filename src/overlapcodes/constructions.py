@@ -12,13 +12,14 @@ The first two return explicit systems; the last two are symbolic first,
 with explicit sets/codes on request under capacity caps.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .codes import EXPANSION_CAP, Code, PrefixSuffixSystem
 from .counting import SymbolicSize, fib_nstep
 from .errors import CapacityError, DomainError
-from .words import BitWord, int_to_bits
+from .words import int_to_bits
 
 DOUBLING_MAX_K = 23
 MMIN_MAX_K = 20
@@ -32,13 +33,19 @@ GL_EMIT_MAX_N = 32
 # no single fixed side does (first divergence at width 9 for both).
 PUBLISHED_TIE_BREAKS = {(7, 0b0101011): "P"}
 
+# byte b -> the low (high) nibble of b with every bit doubled, bit i going
+# to bits 2i and 2i + 1: one output byte per nibble.
+_NIBBLES = [sum(3 << 2 * i for i in range(4) if n >> i & 1) for n in range(16)]
+_SPREAD_LO = bytes(_NIBBLES[b & 15] for b in range(256))
+_SPREAD_HI = bytes(_NIBBLES[b >> 4] for b in range(256))
+
 
 @dataclass(frozen=True)
 class DoublingStep:
     k: int
     p_size: int
     s_size: int
-    duplicates: tuple[BitWord, ...]
+    duplicates: tuple[int, ...]
     system: Optional[PrefixSuffixSystem]
 
     @property
@@ -47,6 +54,20 @@ class DoublingStep:
 
     def size(self) -> SymbolicSize:
         return SymbolicSize(self.product, 2 * self.k)
+
+
+def _spread(mask: int) -> int:
+    """Bit w of mask moved to bits 2w and 2w + 1: the set {2w, 2w + 1}."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_SPREAD_LO)
+    out[1::2] = raw.translate(_SPREAD_HI)
+    return int.from_bytes(out, "little")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
 
 
 def doubling(
@@ -61,41 +82,43 @@ def doubling(
     larger side. `tie_breaks` maps (k, duplicate value) to "P" or "S" for
     the equal-size case; unlisted ties drop the suffix copy. The default is
     PUBLISHED_TIE_BREAKS; pass {} for the plain suffix-side rule.
+
+    Each side is a bitset: bit w of the int is set iff word w is on it.
     """
-    if not 1 <= k_max <= DOUBLING_MAX_K:
+    if k_max < 1:
+        raise DomainError(f"need k_max >= 1, got {k_max}")
+    if k_max > DOUBLING_MAX_K:
         raise CapacityError(f"doubling capped at k_max = {DOUBLING_MAX_K}")
     if tie_breaks is None:
         tie_breaks = PUBLISHED_TIE_BREAKS
-    p, s = {0}, {1}
-    steps = [
-        DoublingStep(
-            1, 1, 1, (),
-            PrefixSuffixSystem.from_values(1, p, s) if keep_sets else None,
-        )
-    ]
+    if any(side not in ("P", "S") for side in tie_breaks.values()):
+        raise DomainError('tie_breaks values must be "P" or "S"')
+    p, s = 0b01, 0b10  # P = {0}, S = {1}
+    first = PrefixSuffixSystem(1, [0], [1]) if keep_sets else None
+    steps = [DoublingStep(1, 1, 1, (), first)]
     for k in range(2, k_max + 1):
-        p2 = {(w << 1) | b for w in p for b in (0, 1)}
-        s2 = {(b << (k - 1)) | w for w in s for b in (0, 1)}
-        dups = sorted(p2 & s2)
+        p = _spread(p)
+        s |= s << (1 << (k - 1))
+        dups = _set_bits(p & s)
+        p_size, s_size = p.bit_count(), s.bit_count()
+        nbytes = 1 << max(0, k - 3)  # room for the bits of every k-bit word
+        drop_p, drop_s = bytearray(nbytes), bytearray(nbytes)
         for d in dups:
-            if len(p2) > len(s2):
-                p2.remove(d)
-            elif len(s2) > len(p2):
-                s2.remove(d)
-            elif tie_breaks.get((k, d), "S") == "P":
-                p2.remove(d)
+            if p_size > s_size or (
+                p_size == s_size and tie_breaks.get((k, d), "S") == "P"
+            ):
+                p_size -= 1
+                drop = drop_p
             else:
-                s2.remove(d)
-        p, s = p2, s2
-        steps.append(
-            DoublingStep(
-                k,
-                len(p),
-                len(s),
-                tuple(BitWord(k, d) for d in dups),
-                PrefixSuffixSystem.from_values(k, p, s) if keep_sets else None,
-            )
-        )
+                s_size -= 1
+                drop = drop_s
+            drop[d >> 3] |= 1 << (d & 7)
+        p &= ~int.from_bytes(drop_p, "little")
+        s &= ~int.from_bytes(drop_s, "little")
+        if (p.bit_count(), s.bit_count()) != (p_size, s_size):
+            raise AssertionError("doubling sizes disagree with the bitsets")
+        system = PrefixSuffixSystem(k, _set_bits(p), _set_bits(s)) if keep_sets else None
+        steps.append(DoublingStep(k, p_size, s_size, tuple(dups), system))
     return steps
 
 
@@ -115,21 +138,14 @@ def _survivor_death_values(k: int) -> list[int]:
     is min over t of (t-suffix of s) * 2^(k-t), restricted to t-suffixes
     starting with 0 (others never match a prefix below 2^(k-1)). Suffixes
     with no such t (e.g. all ones) never die; they get sentinel 2^k.
+    Dropping the top bit of s doubles every candidate with t < k, and t = k
+    adds s itself when its top bit is 0, so the values for width k follow
+    from those for width k - 1.
     """
-    sentinel = 1 << k
-    deaths = []
-    for s in range(1 << k):
-        d = sentinel
-        bit = 1
-        tail = 0
-        for t in range(1, k + 1):
-            tail |= s & bit
-            bit <<= 1
-            if not s & (1 << (t - 1)):
-                cand = tail << (k - t)
-                if cand < d:
-                    d = cand
-        deaths.append(d)
+    deaths = [0, 2]
+    for _ in range(k - 1):
+        doubled = [d << 1 for d in deaths]
+        deaths = list(map(min, doubled, range(len(doubled)))) + doubled
     return deaths
 
 
@@ -139,7 +155,9 @@ def m_minimum(k: int) -> MMinResult:
     Scans every m up to 2^(k-1) keeping survivor counts incrementally via
     precomputed death times; smallest m wins ties.
     """
-    if not 2 <= k <= MMIN_MAX_K:
+    if k < 2:
+        raise DomainError(f"need k >= 2, got {k}")
+    if k > MMIN_MAX_K:
         raise CapacityError(f"m-minimum scan capped at 2 <= k <= {MMIN_MAX_K}")
     deaths = _survivor_death_values(k)
     top = 1 << (k - 1)
@@ -182,11 +200,15 @@ def zero_block(k: int, emit_sets: bool = False) -> ZeroBlockResult:
     The suffix count for a given z is fib_nstep(z, k + 1), so the family
     size is fib_nstep(z, k+1) * 2^(k-z) words of weight 2^(n-2k) each; the
     scan is symbolic and fast for very large k. Smallest z wins ties.
+    fib_nstep(z, k+1) counts (k-1)-bit words, so no z' >= z has a
+    coefficient above 2^(2k-1-z): the scan stops once that cannot win.
     """
     if k < 2:
         raise DomainError("need k >= 2")
     best_z, best_coeff = None, -1
     for z in range(1, k):
+        if 1 << (2 * k - 1 - z) <= best_coeff:
+            break
         coeff = fib_nstep(z, k + 1) << (k - z)
         if coeff > best_coeff:
             best_z, best_coeff = z, coeff
@@ -223,12 +245,15 @@ def gilbert_levenshtein(n: int, emit_code: bool = False) -> GLResult:
 
     Counts are fib_nstep(z, n - z); the word list exists for every z (for
     z = n-1 it degenerates to the single word 0^(n-1) 1). Smallest z wins
-    ties.
+    ties. No z' >= z has more than 2^max(0, n-z-2) words, so the scan stops
+    once that cannot win.
     """
     if n < 3:
         raise DomainError("need n >= 3")
     best_z, best_size = None, -1
     for z in range(1, n):
+        if 1 << max(0, n - z - 2) <= best_size:
+            break
         size = fib_nstep(z, n - z)
         if size > best_size:
             best_z, best_size = z, size

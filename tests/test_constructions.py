@@ -85,15 +85,15 @@ def test_doubling_first_steps_match_worked_narrative():
 
 def test_doubling_duplicates_are_ascending_and_shared():
     for step in doubling(8)[1:]:
-        values = [w.value for w in step.duplicates]
+        values = list(step.duplicates)
         assert values == sorted(values)
 
 
 def test_doubling_worked_duplicates():
     by_k = {s.k: s for s in doubling(5)}
-    assert [str(w) for w in by_k[3].duplicates] == ["011"]
-    assert [str(w) for w in by_k[4].duplicates] == ["0011"]
-    assert [str(w) for w in by_k[5].duplicates] == ["00011", "01011"]
+    assert [int_to_bits(w, 3) for w in by_k[3].duplicates] == ["011"]
+    assert [int_to_bits(w, 4) for w in by_k[4].duplicates] == ["0011"]
+    assert [int_to_bits(w, 5) for w in by_k[5].duplicates] == ["00011", "01011"]
 
 
 def test_doubling_every_intermediate_system_is_valid():
@@ -111,10 +111,16 @@ def test_doubling_tie_rule_divergence_is_known():
     assert PUBLISHED_TIE_BREAKS == {(7, 0b0101011): "P"}
 
 
+def test_doubling_rejects_unknown_tie_break_sides():
+    for side in ("p", "s", "", None):
+        with pytest.raises(DomainError):
+            doubling(9, keep_sets=False, tie_breaks={(7, 0b0101011): side})
+
+
 def test_doubling_capacity():
     with pytest.raises(CapacityError):
         doubling(24)
-    with pytest.raises(CapacityError):
+    with pytest.raises(DomainError):
         doubling(0)
 
 
@@ -159,7 +165,7 @@ def test_mmin_systems_are_valid_and_suffixes_maximal():
 
 
 def test_mmin_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(DomainError):
         m_minimum(1)
     with pytest.raises(CapacityError):
         m_minimum(21)

@@ -125,6 +125,14 @@ def test_cli_exit_codes_for_errors(capsys):
     assert status == 2 and "error" in err
     status, _, err = run_cli(capsys, "graph-opt", "--k", "17")
     assert status == 3 and "capacity" in err
+    status, _, err = run_cli(capsys, "doubling", "--kmax", "0")
+    assert status == 2 and "error" in err
+    status, _, err = run_cli(capsys, "doubling", "--kmax", "24")
+    assert status == 3 and "capacity" in err
+    status, _, err = run_cli(capsys, "mmin", "--k", "1")
+    assert status == 2 and "error" in err
+    status, _, err = run_cli(capsys, "mmin", "--k", "21")
+    assert status == 3 and "capacity" in err
 
 
 def test_cli_oracle_emit_verify_round_trip(tmp_path, capsys):
