@@ -12,6 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
+from struct import pack, unpack
 from typing import Iterable, Optional, TextIO
 
 from . import search
@@ -182,33 +183,79 @@ def expand_system(sys: PrefixSuffixSystem, n: int) -> Code:
 
 # ---------------------------------------------------------------------------
 # file format: optional "# n=<int> q=2" header, one word per line
+#
+# Both directions convert blocks of words through one big int: a word is one
+# w-bit field, w the narrowest of 8, 16, 32 and 64 of at least n, and the
+# fields are packed big-endian so that the int's binary string reads the
+# words in order. Blocks keep the transient buffers a few hundred KiB large.
+
+IO_BLOCK = 8192  # words (or lines, when reading) converted per bulk step
+# n -> (w, struct format character) of the narrowest field holding n bits
+_FIELDS = [min(f for f in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if f[0] >= n)
+           for n in range(MAX_BITS + 1)]
 
 
 def write_code(code: Code, fh: TextIO):
-    line = f"{{:0{code.n}b}}\n".format
-    fh.writelines([f"# n={code.n} q=2\n", *map(line, code.words)])
+    n, words = code.n, code.words
+    fh.write(f"# n={n} q=2\n")
+    if len(words) < 2 * n:  # below two words per column the n copies cost more
+        fh.write("".join(map(f"{{:0{n}b}}\n".format, words)))
+        return
+    width, fmt = _FIELDS[n]
+    for start in range(0, len(words), IO_BLOCK):
+        block = words[start:start + IO_BLOCK]
+        count = len(block)
+        packed = int.from_bytes(pack(f">{count}{fmt}", *block), "big")
+        bits = format(packed, f"0{width * count}b").encode()
+        # byte i of each line is bit column i of the low n bits of its field
+        lines = bytearray(b"\n" * ((n + 1) * count))
+        for i in range(n):
+            lines[i::n + 1] = bits[width - n + i::width]
+        fh.write(lines.decode())
+
+
+def _first_bad_line(lines: list[str], lineno: int, n: int):
+    """Raise for the first word line (numbered from lineno + 1) that is not a
+    binary word of length n."""
+    for lineno, line in enumerate(lines, lineno + 1):
+        if line and line[0] != "#":
+            if line.strip("01"):
+                raise DomainError(f"line {lineno}: invalid word {line!r}")
+            if len(line) != n:
+                raise DomainError(f"line {lineno}: word length {len(line)} != {n}")
+    raise AssertionError("bulk word check and line rules disagree")
 
 
 def read_code(fh: TextIO) -> Code:
-    n = None
-    values = []
-    for lineno, raw in enumerate(fh, 1):
-        line = raw.strip()
-        if line.strip("01"):  # a comment or header, else not a binary word
-            if not line.startswith("#"):
-                raise DomainError(f"line {lineno}: invalid word {line!r}")
-            body = line[1:].strip()
-            if n is None and not values and body.startswith("n="):
-                try:
-                    n = int(body.split()[0][2:])
-                except ValueError as exc:
-                    raise DomainError(f"line {lineno}: bad header {line!r}") from exc
-        elif line:
-            if len(line) != n:
-                if n is not None:
-                    raise DomainError(f"line {lineno}: word length {len(line)} != {n}")
-                n = len(line)
-            values.append(int(line, 2))
+    """Parse a code file: "#" lines are comments, and the first of them
+    before any word that reads "# n=<int>" fixes the length; blank lines are
+    skipped and every other line, stripped, must be a binary word."""
+    n, values, lineno, lines = None, [], 0, iter(fh)
+    while block := [raw.strip() for raw in islice(lines, IO_BLOCK)]:
+        if n is None:  # the header or the first word fixes the length
+            for i, line in enumerate(block, lineno + 1):
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("n="):
+                        try:
+                            n = int(body.split()[0][2:])
+                        except ValueError as exc:
+                            raise DomainError(f"line {i}: bad header {line!r}") from exc
+                        break
+                elif line:
+                    n = len(line)  # checked with the rest of the block
+                    break
+        words = [line for line in block if line and line[0] != "#"]
+        if words:
+            stray = "".join(words).encode("ascii", "replace").translate(None, b"01")
+            if stray or set(map(len, words)) != {n}:
+                _first_bad_line(block, lineno, n)
+            if n <= MAX_BITS:  # else Code refuses n below, whatever the words
+                width, fmt = _FIELDS[n]
+                packed = int(("0" * (width - n)).join(words), 2)
+                raw = packed.to_bytes(width // 8 * len(words), "big")
+                values += unpack(f">{len(words)}{fmt}", raw)
+        lineno += len(block)
     if n is None:
         raise DomainError("no words and no header in code file")
     return Code(n, values)

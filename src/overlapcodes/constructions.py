@@ -13,13 +13,13 @@ with explicit sets/codes on request under capacity caps.
 """
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from .codes import EXPANSION_CAP, Code, PrefixSuffixSystem
 from .counting import SymbolicSize, fib_nstep
 from .errors import CapacityError, DomainError
-from .words import int_to_bits
 
 DOUBLING_MAX_K = 23
 MMIN_MAX_K = 20
@@ -220,10 +220,7 @@ def zero_block(k: int, emit_sets: bool = False) -> ZeroBlockResult:
                 f"explicit sets capped at k = {ZERO_BLOCK_EMIT_MAX_K}"
             )
         z = best_z
-        run = "0" * z
-        suffixes = [
-            s for s in range(1, 1 << k, 2) if run not in int_to_bits(s, k)
-        ]
+        suffixes = run_free_odd_words(k, z)
         if len(suffixes) != fib_nstep(z, k + 1):
             raise AssertionError("zero-block suffix count disagrees with F(z, k+1)")
         system = PrefixSuffixSystem.from_values(
@@ -275,12 +272,32 @@ def gl_words(n: int, z: int) -> list[int]:
         raise DomainError(f"need 1 <= z <= n-1, got z={z}")
     if z == n - 1:
         return [1]
-    mid = n - z - 2
-    run = "0" * z
-    out = []
-    head = 1 << (mid + 1)  # the 1 separating the zero block from m
-    for m in range(1 << mid):
-        if mid and run in format(m, f"0{mid}b"):
-            continue
-        out.append(head | (m << 1) | 1)
-    return out
+    # the 1 that ends the zero block, then "m 1": a run-free word ending in 1
+    return list(map((1 << (n - z - 1)).__or__, run_free_odd_words(n - z - 1, z)))
+
+
+def run_free_odd_words(width: int, z: int) -> list[int]:
+    """All width-bit words that end in 1 and hold no run of z zeros, ascending.
+
+    A run-free word is 0^j 1 v with j < z and v run-free, or all zeros and
+    shorter than z: that step-z split lists the run-free words of up to half
+    the width. A full word joins a run-free head to an odd run-free tail
+    whose zeros meet in fewer than z, so no list but the result is longer
+    than about its square root.
+    """
+    low = (width + 1) // 2
+    short = [[0]]  # short[m]: the run-free m-bit words, ascending
+    for m in range(1, low + 1):
+        ws = [0] if m < z else []
+        for j in range(min(z, m) - 1, -1, -1):
+            ws += map((1 << (m - j - 1)).__or__, short[m - j - 1])
+        short.append(ws)
+    tails = [t for t in short[low] if t & 1]
+    # after a head with b trailing zeros a tail may lead with fewer than z - b
+    # zeros: every tail from 2^(low - z + b) up
+    starts = [bisect_left(tails, 1 << max(low - z + b, 0)) for b in range(z)]
+    words = []
+    for head in short[width - low]:
+        b = (head & -head).bit_length() - 1 if head else width - low
+        words += map((head << low).__or__, tails[starts[b]:])
+    return words

@@ -1,7 +1,9 @@
 """Property tests: the int-tuple code paths against definitions written here."""
 
 import io
+import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from overlapcodes import (
     Code,
     DomainError,
     PrefixSuffixSystem,
+    codes,
     expand_system,
     is_overlap_free,
     read_code,
@@ -151,3 +154,142 @@ def test_from_values_sorts_merges_and_range_checks(n, data):
             Code.from_values(n, values)
         with pytest.raises(DomainError):
             PrefixSuffixSystem.from_values(n, [], values)
+
+
+# ---------------------------------------------------------------------------
+# code files: the bulk reader and writer against the per-line versions they
+# replaced, kept here as oracles
+
+
+def line_write_code(code, fh):
+    line = f"{{:0{code.n}b}}\n".format
+    fh.writelines([f"# n={code.n} q=2\n", *map(line, code.words)])
+
+
+def line_read_code(fh):
+    n = None
+    values = []
+    for lineno, raw in enumerate(fh, 1):
+        line = raw.strip()
+        if line.strip("01"):  # a comment or header, else not a binary word
+            if not line.startswith("#"):
+                raise DomainError(f"line {lineno}: invalid word {line!r}")
+            body = line[1:].strip()
+            if n is None and not values and body.startswith("n="):
+                try:
+                    n = int(body.split()[0][2:])
+                except ValueError as exc:
+                    raise DomainError(f"line {lineno}: bad header {line!r}") from exc
+        elif line:
+            if len(line) != n:
+                if n is not None:
+                    raise DomainError(f"line {lineno}: word length {len(line)} != {n}")
+                n = len(line)
+            values.append(int(line, 2))
+    if n is None:
+        raise DomainError("no words and no header in code file")
+    return Code(n, values)
+
+
+def outcome(read, text):
+    """read's Code for the file text, or the message of its DomainError."""
+    try:
+        return read(io.StringIO(text))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def write_text(write, code):
+    buf = io.StringIO()
+    write(code, buf)
+    return buf.getvalue()
+
+
+# every array field width and the widths on either side of it
+FIELD_EDGES = (1, 7, 8, 9, 16, 17, 32, 33, 63, 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELD_EDGES), st.data())
+def test_write_code_matches_line_writer(n, data):
+    # below two words per bit column the words are written one by one
+    size = data.draw(st.sampled_from((0, 1, n, 2 * n - 1, 2 * n, 2 * n + 5, 5 * n)))
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
+                                max_size=size))
+    code = Code(n, values)
+    block = data.draw(st.sampled_from((1, 7, 64, codes.IO_BLOCK)))
+    with mock.patch.object(codes, "IO_BLOCK", block):
+        text = write_text(write_code, code)
+    assert text == write_text(line_write_code, code)
+    assert read_code(io.StringIO(text)) == code
+
+
+def test_write_code_matches_line_writer_for_every_length():
+    rng = random.Random(7)
+    for n in range(1, 65):
+        for size in (0, 1, n - 1, n, 3 * n + 1, 300):
+            code = Code(n, (rng.getrandbits(n) for _ in range(size)))
+            assert write_text(write_code, code) == write_text(line_write_code, code)
+
+
+def padded(line, draw):
+    pad = st.sampled_from(("", " ", "\t", " \t ", "\x0c"))
+    return draw(pad) + line + draw(pad)
+
+
+@st.composite
+def code_files(draw):
+    """Messy code file text: headers, comments, blank lines, padding, CRLF
+    and sometimes a bad line, in any order."""
+    n = draw(st.integers(1, 20))
+    word = st.integers(0, (1 << n) - 1).map(f"{{:0{n}b}}".format)
+    good = st.one_of(
+        word, word, word,
+        st.just(""),
+        st.sampled_from(("# a comment", "#", "#n=", "# q=2", "#0101")),
+        st.integers(-1, 22).map("# n={} q=2".format),
+    )
+    bad = st.one_of(
+        st.integers(0, 22).filter(lambda m: m != n).map(lambda m: "1" * m),
+        st.tuples(word, st.sampled_from("2ab_+ ")).map(lambda p: p[0][:-1] + p[1]),
+        st.sampled_from(("0b11", "# n=x", "# n=3.0", "\uff11\uff10", "1 0")),
+    )
+    lines = draw(st.lists(st.one_of(good, bad) if draw(st.booleans()) else good,
+                          max_size=40))
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n")), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(padded(line, draw) + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last line
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(code_files(), st.sampled_from((1, 2, 3, 7, codes.IO_BLOCK)))
+def test_read_code_matches_line_reader(text, block):
+    # small blocks put headers, first words and bad lines on block edges
+    with mock.patch.object(codes, "IO_BLOCK", block):
+        assert outcome(read_code, text) == outcome(line_read_code, text)
+
+
+@pytest.mark.parametrize("bad", ["0120", "011", "01101", "# n=x"])
+@pytest.mark.parametrize("lineno", [codes.IO_BLOCK, codes.IO_BLOCK + 1,
+                                    codes.IO_BLOCK + 2, 20000])
+def test_read_code_reports_bad_lines_past_the_first_block(bad, lineno):
+    lines = [f"{i % 16:04b}" if i % 5 else "# comment" for i in range(lineno + 20)]
+    lines[lineno - 1] = bad
+    text = "\r\n".join(lines)
+    expected = outcome(line_read_code, text)
+    assert outcome(read_code, text) == expected
+    if bad != "# n=x":  # an ignored header once the length is known
+        assert expected.startswith(f"DomainError: line {lineno}: ")
+    # with only comments before it, the header is the first of the file
+    text = "\n".join(["# leading"] * (lineno - 1) + [bad, "0101"])
+    assert outcome(read_code, text) == outcome(line_read_code, text)
+
+
+def test_read_code_edge_files():
+    for text in ("", "\n\n", "# only a comment\n", "# n=5 q=2", "# n=5 q=2\n",
+                 "# n=0 q=2\n", "# n=65 q=2\n", "# n=70\n" + "1" * 70, "0101",
+                 "# n=3\n# n=4\n0101\n", "0101\n# n=3\n", "# n=4\n0101\n# n=x"):
+        assert outcome(read_code, text) == outcome(line_read_code, text), text

@@ -2,9 +2,10 @@
 
 doubling runs on bitsets, the m-minimum death values come from a halving
 recurrence, and the zero-block and Gilbert-Levenshtein scans over z stop
-early. Each is checked against the plain computation it replaces: doubling
-on Python sets, a search for each suffix's first killing prefix, and the
-argmax over every z.
+early; the run-free word lists come from the step-z split. Each is checked
+against the plain computation it replaces: doubling on Python sets, a search
+for each suffix's first killing prefix, the argmax over every z, and a
+string search for a z-run of zeros in every candidate word.
 """
 
 import pytest
@@ -12,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapcodes import doubling, gilbert_levenshtein, zero_block
-from overlapcodes.constructions import PUBLISHED_TIE_BREAKS, _survivor_death_values
+from overlapcodes.constructions import (
+    PUBLISHED_TIE_BREAKS,
+    _survivor_death_values,
+    gl_words,
+    run_free_odd_words,
+)
 from overlapcodes.words import int_overlap
 
 
@@ -128,3 +134,32 @@ def test_bounded_z_scans_equal_full_argmax_at_1525_and_1975():
     assert (res.z, res.size.coefficient) == full_zero_block(1525, fib)
     res = gilbert_levenshtein(1975)
     assert (res.z, res.size) == full_gl(1975, fib)
+
+
+def string_filtered_odd_words(width, z):
+    """Odd width-bit words whose binary string holds no z-run of zeros."""
+    run = "0" * z
+    return [s for s in range(1, 1 << width, 2) if run not in f"{s:0{width}b}"]
+
+
+def string_filtered_gl_words(n, z):
+    """0^z 1 m 1 over every (n - z - 2)-bit m whose string holds no z-run;
+    the single word 0^(n-1) 1 when z = n - 1."""
+    if z == n - 1:
+        return [1]
+    mid = n - z - 2
+    return [1 << (mid + 1) | m << 1 | 1 for m in range(1 << mid)
+            if mid == 0 or "0" * z not in f"{m:0{mid}b}"]
+
+
+def test_run_free_words_equal_string_filter():
+    for width in range(15):
+        for z in range(1, width + 3):
+            assert run_free_odd_words(width, z) == string_filtered_odd_words(width, z)
+    for k in range(2, 15):
+        res = zero_block(k, emit_sets=True)
+        assert list(res.system.suffixes) == string_filtered_odd_words(k, res.z)
+        assert res.system.prefixes == tuple(range(1 << (k - res.z)))
+    for n in range(2, 21):
+        for z in range(1, n):
+            assert gl_words(n, z) == string_filtered_gl_words(n, z), (n, z)

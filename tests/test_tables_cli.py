@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from overlapcodes import DomainError, golden_tables, reproduce_table
+from overlapcodes import (
+    DomainError,
+    brute_force_max_code,
+    expand_system,
+    gilbert_levenshtein,
+    golden_tables,
+    reproduce_table,
+    zero_block,
+)
 from overlapcodes.cli import main
 
 
@@ -248,3 +256,58 @@ def test_cli_tables_json(capsys):
     payload = json.loads(out)
     assert status == 0 and payload["match"] is True
     assert payload["rows"][0]["cells"]["coefficient"]["got"] == "2"
+
+
+def rendered(code):
+    """The code file text, word by word, as the format defines it."""
+    return f"# n={code.n} q=2\n" + "".join(f"{w:0{code.n}b}\n" for w in code.words)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["zeroblock", "--k", "6", "--n", "14"],
+     lambda: expand_system(zero_block(6, emit_sets=True).system, 14)),
+    (["zeroblock", "--k", "5"],
+     lambda: expand_system(zero_block(5, emit_sets=True).system, 10)),
+    (["gl", "--n", "16"], lambda: gilbert_levenshtein(16, emit_code=True).code),
+    (["oracle", "--n", "9", "--t1", "2", "--t2", "4"],
+     lambda: brute_force_max_code(9, 2, 4)[1]),
+    (["oracle", "--n", "6", "--t1", "1", "--t2", "3"],
+     lambda: brute_force_max_code(6, 1, 3)[1]),
+], ids=["zeroblock-n14", "zeroblock", "gl", "oracle-64", "oracle-6"])
+def test_cli_emit_files_are_byte_identical(tmp_path, capsys, argv, code):
+    out_file = tmp_path / "code.txt"
+    status, _, _ = run_cli(capsys, *argv, "--emit", str(out_file))
+    assert status == 0
+    with open(out_file, "rb") as fh:
+        assert fh.read() == rendered(code()).encode()
+
+
+@pytest.mark.parametrize("t2", [3, 6])
+def test_cli_verify_reads_crlf_and_padded_copy(tmp_path, capsys, t2):
+    plain = tmp_path / "plain.txt"
+    status, _, _ = run_cli(capsys, "zeroblock", "--k", "5", "--n", "12",
+                           "--emit", str(plain))
+    assert status == 0
+    with open(plain) as fh:
+        lines = fh.read().splitlines()
+    messy = tmp_path / "messy.txt"
+    with open(messy, "w", newline="") as fh:  # written as is, "\r\n" kept
+        fh.writelines(f"{' ' * (i % 3)}{line}\t\r\n" for i, line in enumerate(lines))
+    with open(messy, "rb") as fh:
+        assert fh.read().count(b"\r\n") == len(lines)
+    verdicts = [run_cli(capsys, "verify", "--file", str(path), "--t1", "1",
+                        "--t2", str(t2)) for path in (plain, messy)]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == (0 if t2 <= 5 else 1)
+
+
+def test_cli_verify_names_a_bad_line_past_the_first_block(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    with open(path, "w") as fh:
+        fh.write("# n=14 q=2\n")
+        fh.writelines(f"{w:014b}\n" for w in range(2, 9000))  # lines 2..8999
+        fh.write("0101010101012x\n")
+    status, _, err = run_cli(capsys, "verify", "--file", str(path),
+                             "--t1", "1", "--t2", "2")
+    assert status == 2
+    assert "line 9000: invalid word '0101010101012x'" in err
