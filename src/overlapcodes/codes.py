@@ -198,9 +198,6 @@ _FIELDS = [min(f for f in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if f[0] >=
 def write_code(code: Code, fh: TextIO):
     n, words = code.n, code.words
     fh.write(f"# n={n} q=2\n")
-    if len(words) < 2 * n:  # below two words per column the n copies cost more
-        fh.write("".join(map(f"{{:0{n}b}}\n".format, words)))
-        return
     width, fmt = _FIELDS[n]
     for start in range(0, len(words), IO_BLOCK):
         block = words[start:start + IO_BLOCK]

@@ -205,14 +205,14 @@ def write_text(write, code):
     return buf.getvalue()
 
 
-# every array field width and the widths on either side of it
+# every field width and the widths on either side of it
 FIELD_EDGES = (1, 7, 8, 9, 16, 17, 32, 33, 63, 64)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(FIELD_EDGES), st.data())
 def test_write_code_matches_line_writer(n, data):
-    # below two words per bit column the words are written one by one
+    # from the empty code up to several words per bit column
     size = data.draw(st.sampled_from((0, 1, n, 2 * n - 1, 2 * n, 2 * n + 5, 5 * n)))
     values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
                                 max_size=size))
