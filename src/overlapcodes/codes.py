@@ -146,8 +146,8 @@ def validate_system(
     """
     k = sys.k
     for t in range(1, k + 1):
-        tails = {s & ((1 << t) - 1) for s in sys.suffixes}
-        clash = tails.intersection(p >> (k - t) for p in sys.prefixes)
+        tails = set(map(((1 << t) - 1).__and__, sys.suffixes))
+        clash = tails.intersection(map((k - t).__rrshift__, sys.prefixes))
         if clash:
             return False, (t, BitWord(t, min(clash)))
     return True, None
@@ -262,6 +262,24 @@ def read_code(fh: TextIO) -> Code:
 # exact maximum-code oracle for small n
 
 
+def _conflict_rows(sigs: list[tuple[int, int]], t1: int, t2: int) -> list[int]:
+    """Conflict bitmasks of width-t2 (head, tail) signatures: bit j of row i
+    is set iff for some t in [t1, t2] the t-head of one of signatures i, j
+    equals the t-tail of the other (so a self-conflicting i gets bit i).
+    Each t buckets the signatures by t-head and by t-tail as index masks."""
+    adj = [0] * len(sigs)
+    for t in range(t1, t2 + 1):
+        mask, shift = (1 << t) - 1, t2 - t
+        keys = [(head >> shift, tail & mask) for head, tail in sigs]
+        heads, tails = {}, {}
+        for i, (head, tail) in enumerate(keys):
+            heads[head] = heads.get(head, 0) | 1 << i
+            tails[tail] = tails.get(tail, 0) | 1 << i
+        for i, (head, tail) in enumerate(keys):
+            adj[i] |= tails.get(head, 0) | heads.get(tail, 0)
+    return adj
+
+
 def brute_force_max_code(
     n: int, t1: int, t2: int, canonical: bool = False
 ) -> tuple[int, Code]:
@@ -281,15 +299,6 @@ def brute_force_max_code(
         raise CapacityError(f"oracle capped at n = {ORACLE_MAX_N}")
 
     trange = range(t1, t2 + 1)
-
-    def conflict(u_sig, v_sig):
-        # u_sig/v_sig are (prefix value, suffix value) of width t2
-        return any(
-            int_overlap(u_sig[0], v_sig[1], t2, t)
-            or int_overlap(v_sig[0], u_sig[1], t2, t)
-            for t in trange
-        )
-
     classes: dict[tuple[int, int], list[int]] = {}
     for w in range(1 << n):
         sig = (w >> (n - t2), w & ((1 << t2) - 1))
@@ -299,12 +308,7 @@ def brute_force_max_code(
 
     sigs = sorted(classes)
     nc = len(sigs)
-    adj = [0] * nc
-    for i, si in enumerate(sigs):
-        for j in range(i + 1, nc):
-            if conflict(si, sigs[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _conflict_rows(sigs, t1, t2)
 
     weights = [len(classes[s]) for s in sigs]
     size, chosen = search.max_weight_independent_set(adj, weights, (1 << nc) - 1)

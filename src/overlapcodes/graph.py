@@ -16,6 +16,7 @@ bound of the search module reading its neighbour masks from the graph rows.
 from dataclasses import dataclass
 
 from . import search
+from .codes import PrefixSuffixSystem, validate_system
 from .counting import SymbolicSize
 from .errors import CapacityError, DomainError
 from .search import NODE_BUDGET
@@ -49,21 +50,17 @@ def build_overlap_graph(k: int) -> OverlapGraph:
         raise DomainError(f"need k >= 1, got k={k}")
     if k > GRAPH_MAX_K:
         raise CapacityError(f"adjacency table covers 1 <= k <= {GRAPH_MAX_K}")
-    # row(p) = union over t of the periodic mask {s : s mod 2^t == prefix_t(p)}
-    size = 1 << k
-    period_masks = []
-    for t in range(1, k + 1):
-        step = 1 << t
-        base = 0
-        for s in range(0, size, step):
-            base |= 1 << s
-        period_masks.append(base)
-    rows = []
-    for p in range(size):
-        row = 0
-        for t in range(1, k + 1):
-            row |= period_masks[t - 1] << (p >> (k - t))
-        rows.append(row)
+    # row(p) = union over t of the periodic mask {s : s mod 2^t == prefix_t(p)},
+    # so for t-bit prefixes a, row_t(a) = row_{t-1}(a >> 1) | period_t << a.
+    # Level t overwrites level t - 1 in place, a running down so that only
+    # one table is ever held and a >> 1 is read before it is rewritten.
+    periods = [1]  # period_t: bits at the multiples of 2^t below 2^k, t = k..1
+    for t in range(k - 1, 0, -1):
+        periods.append(periods[-1] | periods[-1] << (1 << t))
+    rows = [0] * (1 << k)
+    for t, period in enumerate(reversed(periods), 1):
+        for a in range((1 << t) - 1, -1, -1):
+            rows[a] = rows[a >> 1] | period << a
     return OverlapGraph(k, rows)
 
 
@@ -90,21 +87,20 @@ class SearchResult:
         return SymbolicSize(self.product, 2 * self.k)
 
 
-def _verify_independent(k: int, xs: list[int], ys: list[int]):
-    for p in xs:
-        for s in ys:
-            if adjacent(p, s, k):
-                raise AssertionError(
-                    f"search produced a non-independent pair ({p:0{k}b}, {s:0{k}b})"
-                )
-
-
 def _result(k, xs, ys, optimal):
-    _verify_independent(k, xs, ys)
+    # an independent set is exactly a valid prefix/suffix system (X, Y)
+    system = PrefixSuffixSystem(k, xs, ys)
+    ok, clash = validate_system(system)
+    if not ok:
+        t, word = clash
+        raise AssertionError(
+            f"search produced a non-independent set: {word} is a {t}-prefix and a {t}-suffix"
+        )
+    xs, ys = system.prefixes, system.suffixes
     return SearchResult(
         k=k,
-        prefix_words=tuple(BitWord(k, p) for p in sorted(xs)),
-        suffix_words=tuple(BitWord(k, s) for s in sorted(ys)),
+        prefix_words=tuple(BitWord(k, p) for p in xs),
+        suffix_words=tuple(BitWord(k, s) for s in ys),
         product=len(xs) * len(ys),
         cardinality=len(xs) + len(ys),
         optimal=optimal,
@@ -204,11 +200,11 @@ def mis_matching_certificate(k: int) -> MatchingCertificate:
         raise DomainError(f"need k >= 2, got k={k}")
     if k > GRAPH_MAX_K:
         raise CapacityError(f"certificate covers 2 <= k <= {GRAPH_MAX_K}")
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int, int]] = []  # (prefix, suffix, overlap size)
     # identity part: p starts 0 and ends 1, matched with its own suffix vertex
     for p in range(1 << (k - 1)):
         if p & 1:
-            pairs.append((p, p))
+            pairs.append((p, p, k))
     # swap part: p = v || 1 || 0^m (v starting 0, m >= 1 trailing zeros)
     # pairs with s = 1^m || v || 1. The edge is the full shared block v || 1
     # (overlap size k - m), and (m, v) is recoverable from s because the
@@ -219,13 +215,13 @@ def mis_matching_certificate(k: int) -> MatchingCertificate:
         m = (p & -p).bit_length() - 1
         v = p >> (m + 1)
         s = (((1 << m) - 1) << (k - m)) | (v << 1) | 1
-        pairs.append((p, s))
-    for p, s in pairs:
-        if not adjacent(p, s, k):
+        pairs.append((p, s, k - m))
+    for p, s, t in pairs:
+        if not int_overlap(p, s, k, t):
             raise AssertionError(f"certificate pair ({p:0{k}b}, {s:0{k}b}) is not an edge")
         if p >> (k - 1) or not s & 1:
             raise AssertionError("certificate pair escapes X_0 x Y_1")
-    if len({p for p, _ in pairs}) != len(pairs) or len({s for _, s in pairs}) != len(pairs):
+    if len({p for p, _, _ in pairs}) != len(pairs) or len({s for _, s, _ in pairs}) != len(pairs):
         raise AssertionError("certificate pairs do not form a matching")
     if len(pairs) != (1 << (k - 1)) - 1:
         raise AssertionError("certificate matching has the wrong size")
@@ -235,7 +231,7 @@ def mis_matching_certificate(k: int) -> MatchingCertificate:
     return MatchingCertificate(
         k=k,
         matching=tuple(
-            (BitWord(k, p), BitWord(k, s)) for p, s in sorted(pairs)
+            (BitWord(k, p), BitWord(k, s)) for p, s, _ in sorted(pairs)
         ),
         extremal=extremal,
     )

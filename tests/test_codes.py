@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -8,6 +9,7 @@ from overlapcodes import (
     DomainError,
     PrefixSuffixSystem,
     brute_force_max_code,
+    codes,
     expand_system,
     is_overlap_free,
     read_code,
@@ -17,6 +19,7 @@ from overlapcodes import (
     validate_system,
     write_code,
 )
+from overlapcodes.words import int_overlap
 
 
 def syst(k, p, s):
@@ -181,6 +184,31 @@ def test_oracle_never_beats_counting_bounds():
             assert size <= upper_bound_weak(n, t1, 2)
         if t1 == 1 and 2 * t2 <= n:
             assert size <= upper_bound_1k(n, t2, 2)
+
+
+def test_oracle_conflict_rows_match_pairwise_definition():
+    # every signature of width t2, self-conflicting ones included
+    for n in range(2, 8):
+        for t1 in range(1, n):
+            for t2 in range(t1, n):
+                sigs = sorted({(w >> (n - t2), w & ((1 << t2) - 1)) for w in range(1 << n)})
+                trange = range(t1, t2 + 1)
+                expect = [
+                    sum(1 << j for j, (vh, vt) in enumerate(sigs)
+                        if any(int_overlap(uh, vt, t2, t) or int_overlap(vh, ut, t2, t)
+                               for t in trange))
+                    for uh, ut in sigs
+                ]
+                assert codes._conflict_rows(sigs, t1, t2) == expect, (n, t1, t2)
+
+
+def test_oracle_plain_output_is_pinned():
+    # the first optimum in search order, as the plain oracle CLI prints it
+    triples = [(n, t1, t2) for n in range(2, 7) for t1 in range(1, n) for t2 in range(t1, n)]
+    h = hashlib.sha256()
+    for n, t1, t2 in triples + [(9, 2, 4), (10, 1, 5)]:
+        h.update(f"{n} {t1} {t2}: {brute_force_max_code(n, t1, t2)[1].words}\n".encode())
+    assert h.hexdigest() == "47f8652c7608a2d87d7015edccc2c86a48b898ffbbdbc6450e04b582c359124b"
 
 
 def test_oracle_capacity():

@@ -13,7 +13,7 @@ from overlapcodes import (
     mis_matching_certificate,
     t_overlap,
 )
-from overlapcodes.graph import adjacent
+from overlapcodes.graph import _result, adjacent
 from overlapcodes.search import two_sided_search
 
 # reference per-k optima: cardinality of the best-product set, product
@@ -31,6 +31,28 @@ def test_rows_match_pairwise_overlap_predicate():
                     for t in range(1, k + 1)
                 )
                 assert ((row >> s) & 1 == 1) == expect
+
+
+def test_rows_match_shifted_period_masks():
+    # reference formula: row(p) is the union over t of the mask of the
+    # multiples of 2^t below 2^k, shifted up by the t-prefix of p
+    for k in range(9, 13):
+        size = 1 << k
+        periods = [sum(1 << s for s in range(0, size, 1 << t)) for t in range(1, k + 1)]
+        rows = build_overlap_graph(k).rows
+        for p in range(size):
+            row = 0
+            for t in range(1, k + 1):
+                row |= periods[t - 1] << (p >> (k - t))
+            assert rows[p] == row, (k, p)
+
+
+def test_result_rejects_non_independent_pair():
+    # 010 / 110 meet at t = 1 only, 011 / 011 at t = 3 only
+    for xs, ys in (([0b010], [0b110]), ([0b011], [0b011])):
+        with pytest.raises(AssertionError):
+            _result(3, xs, ys, optimal=True)
+    assert _result(3, [0b000], [0b001], optimal=True).cardinality == 2
 
 
 def test_graph_examples():

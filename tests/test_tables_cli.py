@@ -143,6 +143,16 @@ def test_cli_exit_codes_for_errors(capsys):
     assert status == 3 and "capacity" in err
 
 
+def test_cli_verify_rejects_undecodable_file(tmp_path, capsys):
+    # a Latin-1 comment is not valid UTF-8: a usage error, not FALSIFIED
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n0101\n")
+    status, out, err = run_cli(capsys, "verify", "--file", str(path),
+                               "--t1", "1", "--t2", "2")
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and "decode" in err
+
+
 def test_cli_oracle_emit_verify_round_trip(tmp_path, capsys):
     out_file = tmp_path / "code.txt"
     status, out, _ = run_cli(capsys, "oracle", "--n", "6", "--t1", "1",
