@@ -36,10 +36,8 @@ from .counting import (
     SymbolicSize,
     classic_bounds,
     count_cyclic_run_free,
-    count_cyclic_run_free_brute,
     count_cyclic_spaced_ones,
     count_no_zero_run,
-    count_no_zero_run_brute,
     fib_nstep,
     lower_bound_explicit,
     render_decimal,
@@ -58,7 +56,7 @@ from .graph import (
     mis_matching_certificate,
 )
 from .tables import TableReport, golden_tables, reproduce_table
-from .words import BitWord, cyclic_shift, from_integer, parse, prefix, suffix, t_overlap
+from .words import BitWord, cyclic_shift, parse, prefix, suffix, t_overlap
 
 __version__ = "0.1.0"
 
@@ -84,15 +82,12 @@ __all__ = [
     "build_overlap_graph",
     "classic_bounds",
     "count_cyclic_run_free",
-    "count_cyclic_run_free_brute",
     "count_cyclic_spaced_ones",
     "count_no_zero_run",
-    "count_no_zero_run_brute",
     "cyclic_shift",
     "doubling",
     "expand_system",
     "fib_nstep",
-    "from_integer",
     "gilbert_levenshtein",
     "golden_tables",
     "is_overlap_free",

@@ -126,10 +126,10 @@ def _cmd_zeroblock(args) -> int:
             codes.write_code(code, fh)
     if args.emit_sets:
         for part, values in (
-            ("prefixes", res.system.prefix_values()),
-            ("suffixes", res.system.suffix_values()),
+            ("prefixes", res.system.prefixes),
+            ("suffixes", res.system.suffixes),
         ):
-            c = codes.Code.from_values(args.k, values)
+            c = codes.Code(args.k, values)
             with open(f"{args.emit_sets}.{part}.txt", "w") as fh:
                 codes.write_code(c, fh)
     sizes = (None, None)

@@ -338,4 +338,4 @@ def brute_force_max_code(
     for i, s in enumerate(sigs):
         if (chosen >> i) & 1:
             values.extend(classes[s])
-    return size, Code.from_values(n, values)
+    return size, Code(n, values)

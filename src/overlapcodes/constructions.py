@@ -176,7 +176,7 @@ def m_minimum(k: int) -> MMinResult:
         prod = m * cnt
         if prod > best_prod:
             best_m, best_prod, best_alive = m, prod, cnt
-    system = PrefixSuffixSystem.from_values(
+    system = PrefixSuffixSystem(
         k,
         range(best_m),
         (s for s in range(1 << k) if deaths[s] >= best_m),
@@ -223,7 +223,7 @@ def zero_block(k: int, emit_sets: bool = False) -> ZeroBlockResult:
         suffixes = run_free_odd_words(k, z)
         if len(suffixes) != fib_nstep(z, k + 1):
             raise AssertionError("zero-block suffix count disagrees with F(z, k+1)")
-        system = PrefixSuffixSystem.from_values(
+        system = PrefixSuffixSystem(
             k, range(1 << (k - z)), suffixes
         )
     return ZeroBlockResult(k, best_z, size, system)
@@ -262,7 +262,7 @@ def gilbert_levenshtein(n: int, emit_code: bool = False) -> GLResult:
             raise CapacityError(
                 f"code would have {best_size} words (cap {EXPANSION_CAP})"
             )
-        code = Code.from_values(n, gl_words(n, best_z))
+        code = Code(n, gl_words(n, best_z))
     return GLResult(n, best_z, best_size, code)
 
 

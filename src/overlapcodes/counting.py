@@ -8,12 +8,13 @@ values in published tables can be compared as strings.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import CapacityError, DomainError
 
-PHI_ENUMERATION_CAP = 24
-NU_BRUTE_CAP = 4
+# Term i of a step-z table has 0.69 i (z = 2) to i bits, so a table holds up
+# to i^2 / 2 bits: 48 MiB at this index for z = 2, 69 MiB for z = 30, and
+# quadratically more past it.
+FIB_MAX_INDEX = 1 << 15
 
 
 class FibTable:
@@ -21,7 +22,7 @@ class FibTable:
 
     F(i) = 0 for -z+2 <= i <= 0, F(1) = 1, and each later term is the sum
     of the z preceding terms. The table grows on demand as later terms are
-    asked for.
+    asked for, up to index FIB_MAX_INDEX.
     """
 
     def __init__(self, z: int):
@@ -36,10 +37,13 @@ class FibTable:
         if i < -self.z + 2:
             raise DomainError(f"index {i} below first defined term {-self.z + 2}")
         j = i + self.z - 2
-        while j >= len(self._vals):
-            nxt = self._window
-            self._vals.append(nxt)
-            self._window += nxt - self._vals[-1 - self.z]
+        if j >= len(self._vals):
+            if i > FIB_MAX_INDEX:
+                raise CapacityError(f"index {i} above the table cap {FIB_MAX_INDEX}")
+            while j >= len(self._vals):
+                nxt = self._window
+                self._vals.append(nxt)
+                self._window += nxt - self._vals[-1 - self.z]
         return self._vals[j]
 
 
@@ -69,83 +73,40 @@ def count_no_zero_run(length: int, run: int) -> int:
     return fib_nstep(run, length + 2)
 
 
-def count_no_zero_run_brute(length: int, run: int) -> int:
-    if length > 20:
-        raise CapacityError("brute-force count capped at length 20")
-    forbidden = "0" * run
-    return sum(
-        1 for w in range(1 << length) if forbidden not in format(w, f"0{length}b")
-    )
-
-
-def _min_gap_histogram(length: int, weight: int) -> list[int]:
-    """hist[g] = number of weight-`weight` words whose smallest cyclic gap
-    between consecutive ones is exactly g; gap `length` stands for 'no pair'."""
-    hist = [0] * (length + 1)
-    if weight <= 1:
-        hist[length] = 1 if weight == 0 else length
-        return hist
-    for pos in combinations(range(length), weight):
-        g = length - pos[-1] + pos[0] - 1
-        for a, b in zip(pos, pos[1:]):
-            d = b - a - 1
-            if d < g:
-                g = d
-        hist[g] += 1
-    return hist
-
-
-_gap_hist_cache: dict[tuple[int, int], list[int]] = {}
-
-
 def count_cyclic_spaced_ones(length: int, weight: int, gap: int) -> int:
     """Fixed-weight binary words where cyclically consecutive ones are
-    separated by at least `gap` zeros. Exact, by enumeration."""
+    separated by at least `gap` zeros.
+
+    Kaplansky's gap-g lemma: n / (n - g w) * C(n - g w, w) for w >= 1, and 0
+    once the w ones and their g w zeros do not fit. The tests check it
+    against the enumeration in tests/oracles.py.
+    """
     if not 1 <= gap < length:
         raise DomainError(f"gap must satisfy 1 <= gap < length, got {gap}")
     if not 0 <= weight < length:
         raise DomainError(f"weight must satisfy 0 <= weight < length, got {weight}")
-    if length > PHI_ENUMERATION_CAP:
-        raise CapacityError(f"enumeration capped at length {PHI_ENUMERATION_CAP}")
-    key = (length, weight)
-    hist = _gap_hist_cache.get(key)
-    if hist is None:
-        hist = _gap_hist_cache[key] = _min_gap_histogram(length, weight)
-    return sum(hist[gap:])
-
-
-def max_cyclic_zero_run(value: int, length: int) -> int:
-    if value == 0:
-        return length
-    bits = format(value, f"0{length}b")
-    lead = len(bits) - len(bits.lstrip("0"))
-    trail = len(bits) - len(bits.rstrip("0"))
-    inner = max(len(r) for r in bits.split("1"))
-    return max(inner, lead + trail)
+    if weight == 0:
+        return 1
+    free = length - gap * weight
+    if free < weight:
+        return 0
+    return length * math.comb(free, weight) // free
 
 
 def count_cyclic_run_free(a: int) -> int:
     """Words of length 2**a with no cyclic run of a-1 or more zeros.
 
-    Decomposes on the lengths of the leading and trailing zero blocks: a
-    word with some 1 splits as 0^i 1 (interior) 1 0^j, the wrap run is i+j,
-    and interior segments are counted by the step-(a-1) recurrence. The
-    decomposition is validated against count_cyclic_run_free_brute for
-    a <= 4 before being trusted beyond.
+    Closed form: with z = a - 1, the sum over d < z of (d + 1) F_z(2^a - d).
+    It decomposes on the lengths of the leading and trailing zero blocks: a
+    word with some 1 splits as 0^i 1 (interior) 1 0^j, the wrap run is
+    d = i + j, and interior segments are counted by the step-z recurrence.
+    The tests check it against the enumeration in tests/oracles.py for
+    a <= 4.
     """
     if a < 2:
         raise DomainError("need a >= 2 so the forbidden run length is >= 1")
     ell, z = 1 << a, a - 1
     return sum((d + 1) * fib_nstep(z, ell - d) for d in range(z))
-
-
-def count_cyclic_run_free_brute(a: int) -> int:
-    if a < 2:
-        raise DomainError("need a >= 2")
-    if a > NU_BRUTE_CAP:
-        raise CapacityError(f"brute force capped at a = {NU_BRUTE_CAP}")
-    ell, z = 1 << a, a - 1
-    return sum(1 for w in range(1 << ell) if max_cyclic_zero_run(w, ell) < z)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +194,6 @@ def upper_bound_graph(n: int, k: int) -> int:
     if n < k + 2:
         raise DomainError(f"need n >= k+2, got n={n}")
     return (1 << (n - 4)) + (1 << (n - k - 2))
-
-
-LOWER_BOUND_VARIANTS = ("gen1", "gen2", "gen3")
 
 
 def lower_bound_explicit(k: int, variant: str) -> Fraction:

@@ -25,21 +25,13 @@ from .words import BitWord, int_overlap
 GRAPH_MAX_K = 16
 
 
-def adjacent(p: int, s: int, k: int) -> bool:
-    """Edge predicate of the incompatibility graph."""
-    return any(int_overlap(p, s, k, t) for t in range(1, k + 1))
-
-
 class OverlapGraph:
-    """Adjacency of the incompatibility graph, one 2^k-bit row per prefix."""
+    """Adjacency of the incompatibility graph, one 2^k-bit row per prefix:
+    rows[p] is the bitmask over the suffix words adjacent to x_p."""
 
     def __init__(self, k: int, rows: list[int]):
         self.k = k
         self.rows = rows
-
-    def neighbors_of_prefix(self, p: int) -> int:
-        """Bitmask over suffix words adjacent to x_p."""
-        return self.rows[p]
 
     def has_edge(self, p: int, s: int) -> bool:
         return (self.rows[p] >> s) & 1 == 1

@@ -80,14 +80,6 @@ class BitWord:
         return (self.value >> (self.length - i)) & 1
 
 
-def from_integer(value: int, k: int) -> BitWord:
-    """The k-bit big-endian representation of value; 0 <= value < 2**k."""
-    _check_length(k)
-    if not 0 <= value < (1 << k):
-        raise DomainError(f"value {value} out of range for {k} bits")
-    return BitWord(k, value)
-
-
 def parse(text: str) -> BitWord:
     """Inverse of str(): a run of '0'/'1' characters, leftmost first."""
     _check_length(len(text))

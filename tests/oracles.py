@@ -1,0 +1,67 @@
+"""Reference counts and predicates straight from the definitions.
+
+The package computes these by recurrences and closed forms; the tests
+check those against the plain enumerations here. Each enumeration is
+capped so that a test cannot ask for an exponential run by accident.
+"""
+
+from itertools import combinations
+
+from overlapcodes import CapacityError, DomainError
+from overlapcodes.words import int_overlap
+
+NO_ZERO_RUN_BRUTE_CAP = 20
+SPACED_ONES_BRUTE_CAP = 20
+NU_BRUTE_CAP = 4
+
+
+def adjacent(p: int, s: int, k: int) -> bool:
+    """Edge predicate of the incompatibility graph: some t-prefix of p
+    equals the t-suffix of s."""
+    return any(int_overlap(p, s, k, t) for t in range(1, k + 1))
+
+
+def count_no_zero_run_brute(length: int, run: int) -> int:
+    """Words of the given length with no run of `run` consecutive 0s."""
+    if length > NO_ZERO_RUN_BRUTE_CAP:
+        raise CapacityError(f"brute force capped at length {NO_ZERO_RUN_BRUTE_CAP}")
+    forbidden = "0" * run
+    return sum(
+        1 for w in range(1 << length) if forbidden not in format(w, f"0{length}b")
+    )
+
+
+def count_spaced_ones_brute(length: int, weight: int, gap: int) -> int:
+    """Weight-`weight` words whose cyclically consecutive ones are separated
+    by at least `gap` zeros, one combination of positions at a time."""
+    if length > SPACED_ONES_BRUTE_CAP:
+        raise CapacityError(f"enumeration capped at length {SPACED_ONES_BRUTE_CAP}")
+    if weight <= 1:
+        return 1 if weight == 0 else length
+    count = 0
+    for pos in combinations(range(length), weight):
+        wrap = length - pos[-1] + pos[0] - 1
+        if wrap >= gap and all(b - a > gap for a, b in zip(pos, pos[1:])):
+            count += 1
+    return count
+
+
+def max_cyclic_zero_run(value: int, length: int) -> int:
+    """Longest run of 0s in the length-bit word, read cyclically."""
+    if value == 0:
+        return length
+    bits = format(value, f"0{length}b")
+    lead = len(bits) - len(bits.lstrip("0"))
+    trail = len(bits) - len(bits.rstrip("0"))
+    inner = max(len(r) for r in bits.split("1"))
+    return max(inner, lead + trail)
+
+
+def count_cyclic_run_free_brute(a: int) -> int:
+    """Words of length 2**a with no cyclic run of a-1 or more zeros."""
+    if a < 2:
+        raise DomainError("need a >= 2")
+    if a > NU_BRUTE_CAP:
+        raise CapacityError(f"brute force capped at a = {NU_BRUTE_CAP}")
+    ell, z = 1 << a, a - 1
+    return sum(1 for w in range(1 << ell) if max_cyclic_zero_run(w, ell) < z)

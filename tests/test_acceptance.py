@@ -15,10 +15,8 @@ from overlapcodes import (
     brute_force_max_code,
     build_overlap_graph,
     count_cyclic_run_free,
-    count_cyclic_run_free_brute,
     count_cyclic_spaced_ones,
     count_no_zero_run,
-    count_no_zero_run_brute,
     doubling,
     fib_nstep,
     gilbert_levenshtein,
@@ -33,8 +31,8 @@ from overlapcodes import (
     zero_block,
 )
 from overlapcodes.constructions import gl_words
-from overlapcodes.graph import adjacent
 from overlapcodes.words import int_to_bits
+from oracles import adjacent, count_cyclic_run_free_brute, count_no_zero_run_brute
 
 
 class Stopwatch:

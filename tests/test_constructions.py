@@ -17,6 +17,7 @@ from overlapcodes import (
 )
 from overlapcodes.constructions import PUBLISHED_TIE_BREAKS, gl_words
 from overlapcodes.words import int_to_bits
+from oracles import adjacent
 
 # reference products per width (doubling construction)
 DOUBLING_PRODUCTS = {
@@ -155,8 +156,6 @@ def test_mmin_systems_are_valid_and_suffixes_maximal():
         res = m_minimum(k)
         assert validate_system(res.system)[0]
         # no excluded suffix could be added back
-        from overlapcodes.graph import adjacent
-
         chosen = set(res.system.suffix_values())
         for s in range(1 << k):
             if s in chosen:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,20 @@ from overlapcodes import (
     SymbolicSize,
     classic_bounds,
     count_cyclic_run_free,
-    count_cyclic_run_free_brute,
     count_cyclic_spaced_ones,
     count_no_zero_run,
-    count_no_zero_run_brute,
     fib_nstep,
     lower_bound_explicit,
     render_decimal,
     upper_bound_1k,
     upper_bound_graph,
     upper_bound_weak,
+)
+from overlapcodes.counting import FIB_MAX_INDEX
+from oracles import (
+    count_cyclic_run_free_brute,
+    count_no_zero_run_brute,
+    count_spaced_ones_brute,
 )
 
 
@@ -52,6 +57,17 @@ def test_fib_table_reusable_and_incremental():
     assert t.value(3) == 2
 
 
+def test_fib_table_refuses_index_above_cap_without_growing():
+    t = FibTable(2)
+    assert t.value(40) == 102334155
+    grown = len(t._vals)
+    with pytest.raises(CapacityError):
+        t.value(FIB_MAX_INDEX + 1)
+    assert len(t._vals) == grown
+    with pytest.raises(CapacityError):
+        fib_nstep(3, FIB_MAX_INDEX + 1)
+
+
 def test_count_no_zero_run_examples():
     assert count_no_zero_run(5, 2) == 13
     assert count_no_zero_run(3, 4) == 8
@@ -76,29 +92,27 @@ def test_spaced_ones_examples():
 
 
 def test_spaced_ones_brute_reference():
-    # independent re-count straight from the definition
-    def ref(length, weight, gap):
-        total = 0
-        for w in range(1 << length):
-            ones = [i for i in range(length) if (w >> i) & 1]
-            if len(ones) != weight:
-                continue
-            if weight <= 1:
-                total += 1
-                continue
-            gaps = [b - a - 1 for a, b in zip(ones, ones[1:])]
-            gaps.append(length - ones[-1] + ones[0] - 1)
-            if min(gaps) >= gap:
-                total += 1
-        return total
-
-    for length in (5, 7, 8):
+    for length in range(2, 17):
         for weight in range(length):
             for gap in range(1, length):
-                assert (
-                    count_cyclic_spaced_ones(length, weight, gap)
-                    == ref(length, weight, gap)
-                )
+                assert count_cyclic_spaced_ones(
+                    length, weight, gap
+                ) == count_spaced_ones_brute(length, weight, gap), (length, weight, gap)
+
+
+def test_spaced_ones_composition_identity():
+    # Marking one of the w ones: n places for it, and the n - w zeros split
+    # into w gaps of at least `gap` each, read on from the mark.
+    for length in range(2, 301):
+        for weight in range(1, length):
+            for gap in range(1, length):
+                phi = count_cyclic_spaced_ones(length, weight, gap)
+                if gap * weight >= length:
+                    assert phi == 0, (length, weight, gap)
+                    break
+                assert weight * phi == length * math.comb(
+                    length - gap * weight - 1, weight - 1
+                ), (length, weight, gap)
 
 
 def test_spaced_ones_domain_and_capacity():
@@ -106,8 +120,12 @@ def test_spaced_ones_domain_and_capacity():
         count_cyclic_spaced_ones(6, 6, 2)
     with pytest.raises(DomainError):
         count_cyclic_spaced_ones(6, 2, 6)
-    with pytest.raises(CapacityError):
-        count_cyclic_spaced_ones(25, 2, 2)
+    # two ones on a cycle of n, both gaps >= g: n (n - 2g - 1) / 2 words
+    assert count_cyclic_spaced_ones(25, 2, 2) == 250
+    assert count_cyclic_spaced_ones(2000, 2, 1) == 1000 * 1997
+    assert count_cyclic_spaced_ones(2000, 500, 2) == 2 * math.comb(1000, 500)
+    assert count_cyclic_spaced_ones(2000, 500, 3) == 4  # rotations of (1000)^500
+    assert count_cyclic_spaced_ones(2000, 500, 4) == 0
 
 
 def test_cyclic_run_free_decomposition_matches_brute():

@@ -141,6 +141,10 @@ def test_cli_exit_codes_for_errors(capsys):
     assert status == 2 and "error" in err
     status, _, err = run_cli(capsys, "mmin", "--k", "21")
     assert status == 3 and "capacity" in err
+    status, _, err = run_cli(capsys, "fib", "--z", "2", "--i", "1000000")
+    assert status == 3 and "capacity" in err
+    status, _, err = run_cli(capsys, "zeroblock", "--k", "1000000")
+    assert status == 3 and "capacity" in err
 
 
 def test_cli_verify_rejects_undecodable_file(tmp_path, capsys):

@@ -5,7 +5,6 @@ from overlapcodes import (
     CapacityError,
     DomainError,
     cyclic_shift,
-    from_integer,
     parse,
     prefix,
     suffix,
@@ -13,21 +12,21 @@ from overlapcodes import (
 )
 
 
-def test_from_integer_examples():
-    assert str(from_integer(3, 4)) == "0011"
-    assert str(from_integer(0, 5)) == "00000"
-    assert str(from_integer(11, 6)) == "001011"
+def test_bitword_examples():
+    assert str(BitWord(4, 3)) == "0011"
+    assert str(BitWord(5, 0)) == "00000"
+    assert str(BitWord(6, 11)) == "001011"
 
 
-def test_from_integer_range_errors():
+def test_bitword_range_errors():
     with pytest.raises(DomainError):
-        from_integer(16, 4)
+        BitWord(4, 16)
     with pytest.raises(DomainError):
-        from_integer(-1, 4)
+        BitWord(4, -1)
     with pytest.raises(CapacityError):
-        from_integer(0, 65)
+        BitWord(65, 0)
     with pytest.raises(DomainError):
-        from_integer(0, 0)
+        BitWord(0, 0)
 
 
 def test_parse_round_trip():
@@ -103,9 +102,9 @@ def test_t_overlap_matches_string_reference_small():
 def test_prefix_of_integer_is_shifted_integer():
     for k in range(1, 13):
         for m in range(1 << k):
-            w = from_integer(m, k)
+            w = BitWord(k, m)
             for t in range(1, k + 1):
-                assert prefix(w, t) == from_integer(m >> (k - t), t)
+                assert prefix(w, t) == BitWord(t, m >> (k - t))
 
 
 def test_cyclic_shift_composes():
