@@ -32,7 +32,6 @@ from .constructions import (
 )
 from .counting import (
     ClassicBounds,
-    FibTable,
     SymbolicSize,
     classic_bounds,
     count_cyclic_run_free,
@@ -67,7 +66,6 @@ __all__ = [
     "Code",
     "DomainError",
     "DoublingStep",
-    "FibTable",
     "GLResult",
     "MMinResult",
     "MatchingCertificate",

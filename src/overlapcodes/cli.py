@@ -221,8 +221,8 @@ def _cmd_bounds(args) -> int:
         if cb.eight_n is not None:
             out["classic_eight_n"] = _fraction_json(cb.eight_n, places)
         out["classic_lev"] = {
-            "num": str(cb.lev_numerator),
-            "den": cb.lev_denominator_factor,
+            "num": "1",
+            "den": "2en",
             "decimal": str(cb.lev_decimal),
         }
     if args.format == "json":

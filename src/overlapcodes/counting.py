@@ -6,60 +6,50 @@ values in published tables can be compared as strings.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError
 
-# Term i of a step-z table has 0.69 i (z = 2) to i bits, so a table holds up
-# to i^2 / 2 bits: 48 MiB at this index for z = 2, 69 MiB for z = 30, and
-# quadratically more past it.
+# Reaching term i takes i additions of numbers of up to i bits, so this cap
+# bounds time. A call holds min(z, i) terms and frees them on return: well
+# under 1 MiB for the small steps the constructions scan, 69 MiB at z = i.
 FIB_MAX_INDEX = 1 << 15
 
 
-class FibTable:
-    """Memoized z-step Fibonacci sequence.
+def _fib_window(z: int, i: int) -> deque:
+    """The terms F(i - z + 1)..F(i) of the step-z sequence, for 1 <= z <= i.
 
-    F(i) = 0 for -z+2 <= i <= 0, F(1) = 1, and each later term is the sum
-    of the z preceding terms. The table grows on demand as later terms are
-    asked for, up to index FIB_MAX_INDEX.
+    One walk of the recurrence from its seed F(-z+2)..F(1) = 0, ..., 0, 1,
+    keeping only the last z terms and their sum.
     """
-
-    def __init__(self, z: int):
-        if z < 1:
-            raise DomainError(f"step must be >= 1, got {z}")
-        self.z = z
-        # self._vals[j] = F(j - z + 2); seeded with the z values F(-z+2)..F(1)
-        self._vals = [0] * (z - 1) + [1]
-        self._window = 1  # sum of the last z stored values
-
-    def value(self, i: int) -> int:
-        if i < -self.z + 2:
-            raise DomainError(f"index {i} below first defined term {-self.z + 2}")
-        j = i + self.z - 2
-        if j >= len(self._vals):
-            if i > FIB_MAX_INDEX:
-                raise CapacityError(f"index {i} above the table cap {FIB_MAX_INDEX}")
-            while j >= len(self._vals):
-                nxt = self._window
-                self._vals.append(nxt)
-                self._window += nxt - self._vals[-1 - self.z]
-        return self._vals[j]
-
-
-_fib_tables: dict[int, FibTable] = {}
+    if i > FIB_MAX_INDEX:
+        raise CapacityError(f"index {i} above the table cap {FIB_MAX_INDEX}")
+    window = deque([0] * (z - 1) + [1], maxlen=z)
+    total = 1
+    for _ in range(i - 1):
+        term = total
+        total = (total << 1) - window[0]
+        window.append(term)
+    return window
 
 
 def fib_nstep(z: int, i: int) -> int:
     """F_i of the z-step Fibonacci sequence, exact.
 
-    One table per z is kept and shared by every call, so each index is
-    computed once per process.
+    F(i) = 0 for -z+2 <= i <= 0, F(1) = 1, and each later term is the sum
+    of the z preceding terms. F(j) = 2^(j-2) for 2 <= j <= z + 1, the same
+    under every step from j - 1 up, so F_z(i) = F_min(z, i)(i): the walk
+    keeps min(z, i) terms.
     """
-    table = _fib_tables.get(z)
-    if table is None:
-        table = _fib_tables[z] = FibTable(z)
-    return table.value(i)
+    if z < 1:
+        raise DomainError(f"step must be >= 1, got {z}")
+    if i < -z + 2:
+        raise DomainError(f"index {i} below first defined term {-z + 2}")
+    if i < 1:
+        return 0
+    return _fib_window(min(z, i), i)[-1]
 
 
 def count_no_zero_run(length: int, run: int) -> int:
@@ -105,8 +95,9 @@ def count_cyclic_run_free(a: int) -> int:
     """
     if a < 2:
         raise DomainError("need a >= 2 so the forbidden run length is >= 1")
-    ell, z = 1 << a, a - 1
-    return sum((d + 1) * fib_nstep(z, ell - d) for d in range(z))
+    # the z terms F(2^a - z + 1)..F(2^a), newest first, from one walk
+    window = reversed(_fib_window(a - 1, 1 << a))
+    return sum((d + 1) * f for d, f in enumerate(window))
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +212,22 @@ class ClassicBounds:
 
     nine_n: Fraction            # 2^n / (9n), always
     eight_n: Fraction | None    # 2^n / (8n) when n is a power of two
-    lev_numerator: int          # the asymptotic constant 1/(2e n), kept
-    lev_denominator_factor: str  # symbolically as the pair (1, "2en")
     lev_decimal: float          # display-only evaluation of 2^n/(2en)
+
+
+# 2^n is past the largest float from n = 1024 on, so lev_decimal stops here
+CLASSIC_MAX_N = 1023
 
 
 def classic_bounds(n: int) -> ClassicBounds:
     if n < 3:
         raise DomainError("need n >= 3")
+    if n > CLASSIC_MAX_N:
+        raise CapacityError(f"2^n/(2en) as a float capped at n = {CLASSIC_MAX_N}")
     power_of_two = n & (n - 1) == 0
     return ClassicBounds(
         nine_n=Fraction(1 << n, 9 * n),
         eight_n=Fraction(1 << n, 8 * n) if power_of_two else None,
-        lev_numerator=1,
-        lev_denominator_factor="2en",
         lev_decimal=float((1 << n) / (2 * math.e * n)),
     )
 

@@ -73,12 +73,6 @@ class BitWord:
     def __repr__(self):
         return f"BitWord({str(self)!r})"
 
-    def bit(self, i: int) -> int:
-        """Symbol at position i, 1-based from the left."""
-        if not 1 <= i <= self.length:
-            raise DomainError(f"bit index {i} out of range 1..{self.length}")
-        return (self.value >> (self.length - i)) & 1
-
 
 def parse(text: str) -> BitWord:
     """Inverse of str(): a run of '0'/'1' characters, leftmost first."""

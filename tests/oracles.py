@@ -21,6 +21,15 @@ def adjacent(p: int, s: int, k: int) -> bool:
     return any(int_overlap(p, s, k, t) for t in range(1, k + 1))
 
 
+def fib_nstep_terms(z: int, last: int) -> list[int]:
+    """The step-z Fibonacci terms F(-z+2)..F(last), one list entry each:
+    z - 1 zeros, a one, then each term the sum of the z before it."""
+    terms = [0] * (z - 1) + [1]
+    while len(terms) < last + z - 1:
+        terms.append(sum(terms[-z:]))
+    return terms
+
+
 def count_no_zero_run_brute(length: int, run: int) -> int:
     """Words of the given length with no run of `run` consecutive 0s."""
     if length > NO_ZERO_RUN_BRUTE_CAP:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from overlapcodes import (
     CapacityError,
     DomainError,
-    FibTable,
     SymbolicSize,
     classic_bounds,
     count_cyclic_run_free,
@@ -19,11 +19,13 @@ from overlapcodes import (
     upper_bound_graph,
     upper_bound_weak,
 )
-from overlapcodes.counting import FIB_MAX_INDEX
+from overlapcodes.constructions import zero_block
+from overlapcodes.counting import CLASSIC_MAX_N, FIB_MAX_INDEX
 from oracles import (
     count_cyclic_run_free_brute,
     count_no_zero_run_brute,
     count_spaced_ones_brute,
+    fib_nstep_terms,
 )
 
 
@@ -40,7 +42,7 @@ def test_fib_base_cases_and_errors():
     with pytest.raises(DomainError):
         fib_nstep(3, -2)
     with pytest.raises(DomainError):
-        FibTable(0)
+        fib_nstep(0, 5)
 
 
 def test_fib_closed_forms():
@@ -51,21 +53,59 @@ def test_fib_closed_forms():
         assert fib_nstep(z, z + 3) == (1 << (z + 1)) - 3
 
 
-def test_fib_table_reusable_and_incremental():
-    t = FibTable(2)
-    assert [t.value(i) for i in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
-    assert t.value(3) == 2
+def test_fib_nstep_fibonacci_in_any_call_order():
+    assert [fib_nstep(2, i) for i in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
+    assert fib_nstep(2, 3) == 2
 
 
-def test_fib_table_refuses_index_above_cap_without_growing():
-    t = FibTable(2)
-    assert t.value(40) == 102334155
-    grown = len(t._vals)
-    with pytest.raises(CapacityError):
-        t.value(FIB_MAX_INDEX + 1)
-    assert len(t._vals) == grown
+def test_fib_nstep_refuses_index_above_cap():
+    assert fib_nstep(2, 40) == 102334155
     with pytest.raises(CapacityError):
         fib_nstep(3, FIB_MAX_INDEX + 1)
+    with pytest.raises(CapacityError):  # a huge step does not get past it
+        fib_nstep(10**9, FIB_MAX_INDEX + 1)
+    with pytest.raises(CapacityError):
+        count_cyclic_run_free(16)  # needs F(2^16)
+    assert fib_nstep(10**9, 3) == 2
+
+
+def test_fib_nstep_matches_list_recurrence():
+    for z in range(1, 13):
+        terms = fib_nstep_terms(z, 3001)  # terms[i + z - 2] = F(i)
+        for i in range(-z + 2, 201):
+            assert fib_nstep(z, i) == terms[i + z - 2], (z, i)
+        # around multiples of z, where the window wraps
+        for x in range(201, 3001, 137):
+            m = x - x % z
+            for i in (m - 1, m, m + 1):
+                assert fib_nstep(z, i) == terms[i + z - 2], (z, i)
+
+
+def test_count_cyclic_run_free_matches_list_recurrence():
+    for a in range(2, 14):
+        ell, z = 1 << a, a - 1
+        terms = fib_nstep_terms(z, ell)
+        want = sum((d + 1) * terms[-1 - d] for d in range(z))
+        assert count_cyclic_run_free(a) == want, a
+
+
+def peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_fib_nstep_memory_does_not_grow_with_the_step():
+    value, peak = peak_mib(fib_nstep, 10**6, 40)
+    assert value == 2**38 and peak < 1
+
+
+def test_zero_block_scan_memory_stays_small():
+    _, peak = peak_mib(zero_block, 8000)
+    assert peak < 1
 
 
 def test_count_no_zero_run_examples():
@@ -187,7 +227,15 @@ def test_classic_bounds():
     assert b12.nine_n == Fraction(1 << 12, 108)
     assert b12.eight_n is None
     assert classic_bounds(3).nine_n == Fraction(8, 27)
-    assert b16.lev_numerator == 1 and "2e" in b16.lev_denominator_factor
+
+
+def test_classic_bounds_refuse_n_past_float_range():
+    assert CLASSIC_MAX_N == 1023
+    big = classic_bounds(1023)
+    assert big.nine_n == Fraction(1 << 1023, 9 * 1023)
+    assert big.eight_n is None and big.lev_decimal > 1e300
+    with pytest.raises(CapacityError):
+        classic_bounds(1024)
 
 
 def test_symbolic_size_normalized_equality():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,8 @@ def test_cli_exit_codes_for_errors(capsys):
     assert status == 3 and "capacity" in err
     status, _, err = run_cli(capsys, "zeroblock", "--k", "1000000")
     assert status == 3 and "capacity" in err
+    status, _, err = run_cli(capsys, "bounds", "--n", "1100", "--k", "1099")
+    assert status == 3 and err.startswith("capacity error: ")
 
 
 def test_cli_verify_rejects_undecodable_file(tmp_path, capsys):
@@ -245,7 +248,9 @@ def test_cli_bounds_json(capsys):
                              "--n", "16", "--k", "15")
     payload = json.loads(out)
     assert "classic_nine_n" in payload and "classic_eight_n" in payload
-    assert "classic_lev" in payload
+    assert payload["classic_lev"] == {
+        "num": "1", "den": "2en", "decimal": "753.4170955191139",
+    }
 
 
 def test_cli_doubling_json_rows(capsys):
@@ -325,3 +330,65 @@ def test_cli_verify_names_a_bad_line_past_the_first_block(tmp_path, capsys):
                              "--t1", "1", "--t2", "2")
     assert status == 2
     assert "line 9000: invalid word '0101010101012x'" in err
+
+
+def pinned_commands():
+    """A fixed CLI call list whose whole output is pinned by one digest."""
+    for fmt in ("tsv", "json"):
+        for t in ("I", "II", "III", "IV", "V"):
+            yield ["--format", fmt, "tables", "--id", t]
+    yield ["tables", "--id", "IV", "--kmin", "6", "--kmax", "9"]
+    for n in range(3, 19):
+        for k in range(1, n):
+            yield ["bounds", "--n", str(n), "--k", str(k)]
+    for n in (32, 64, 100, 512, 1023):
+        yield ["bounds", "--n", str(n), "--k", str(n - 1)]
+        yield ["--format", "json", "bounds", "--n", str(n), "--k", str(n - 1)]
+    yield ["bounds", "--n", "12", "--k", "5", "--q", "3", "--places", "4"]
+    yield ["--format", "json", "bounds", "--n", "16", "--k", "15", "--places", "0"]
+    for z in (1, 2, 3, 4, 7, 12):
+        for i in (-z + 2, 0, 1, 2, 5, z + 2, 50, 300):
+            if i >= -z + 2:
+                yield ["fib", "--z", str(z), "--i", str(i)]
+    yield ["--format", "json", "fib", "--z", "5", "--i", "10000"]
+    yield ["fib", "--z", "3", "--i", "32769"]
+    yield ["fib", "--z", "2", "--i", "1000000"]
+    yield ["fib", "--z", "0", "--i", "3"]
+    yield ["fib", "--z", "3", "--i", "-2"]
+    for k in range(2, 11):
+        yield ["mmin", "--k", str(k)]
+    yield ["--format", "json", "mmin", "--k", "6"]
+    yield ["mmin", "--k", "1"]
+    yield ["doubling", "--kmax", "12"]
+    yield ["--format", "json", "doubling", "--kmax", "12"]
+    for k in list(range(2, 41)) + [1000]:
+        yield ["zeroblock", "--k", str(k)]
+    yield ["--format", "json", "zeroblock", "--k", "1000"]
+    yield ["zeroblock", "--k", "1000000"]
+    for n in range(3, 41):
+        yield ["gl", "--n", str(n)]
+    yield ["--format", "json", "gl", "--n", "40"]
+    for k in range(1, 6):
+        for obj in ("product", "cardinality"):
+            for canon in ([], ["--canonical"]):
+                yield ["graph-opt", "--k", str(k), "--objective", obj] + canon
+    yield ["--format", "json", "graph-opt", "--k", "5", "--canonical"]
+    yield ["graph-opt", "--k", "6", "--node-budget", "50"]
+    for n, t1, t2 in ((3, 1, 2), (4, 1, 3), (5, 2, 3), (6, 1, 3)):
+        yield ["oracle", "--n", str(n), "--t1", str(t1), "--t2", str(t2)]
+        yield ["oracle", "--n", str(n), "--t1", str(t1), "--t2", str(t2),
+               "--canonical"]
+    yield ["--format", "json", "oracle", "--n", "5", "--t1", "1", "--t2", "4"]
+
+
+# sha256 over (argv, exit status, stdout, stderr) of every pinned command,
+# recorded before the rolling-window Fibonacci kernel replaced the memo
+PINNED_CLI_DIGEST = "d89db4b683342cdcf5fa48e168b5dbdbaf68eaa2019b0b84594388b1a9af5053"
+
+
+def test_cli_output_is_byte_identical_to_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in pinned_commands():
+        record = [argv, *run_cli(capsys, *argv)]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CLI_DIGEST

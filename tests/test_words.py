@@ -116,10 +116,3 @@ def test_cyclic_shift_composes():
                     assert cyclic_shift(cyclic_shift(w, i), j) == cyclic_shift(
                         w, (i + j) % n
                     )
-
-
-def test_bit_indexing_is_one_based_from_left():
-    w = parse("0100")
-    assert [w.bit(i) for i in (1, 2, 3, 4)] == [0, 1, 0, 0]
-    with pytest.raises(DomainError):
-        w.bit(0)
