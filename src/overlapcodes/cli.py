@@ -18,6 +18,11 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+# `bounds` prints q^n-sized fractions and `places` digits exactly; these caps
+# keep one call near a second (CPython's int-to-str is quadratic in digits)
+BOUNDS_MAX_BITS = 100_000  # bits of q^n
+BOUNDS_MAX_PLACES = 100_000
+
 
 def _fraction_json(f: Fraction, places: int) -> dict:
     return {
@@ -196,6 +201,10 @@ def _cmd_graph_opt(args) -> int:
 def _cmd_bounds(args) -> int:
     n, k, q = args.n, args.k, args.q
     places = args.places
+    if n * (q - 1).bit_length() > BOUNDS_MAX_BITS:
+        raise CapacityError(f"q^n capped at {BOUNDS_MAX_BITS} bits")
+    if places > BOUNDS_MAX_PLACES:
+        raise CapacityError(f"--places capped at {BOUNDS_MAX_PLACES}")
     out: dict = {"n": n, "k": k, "q": q}
     out["upper_weak"] = _fraction_json(counting.upper_bound_weak(n, k, q), places)
     if 2 * k <= n:
@@ -363,6 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # output is exact decimal, so lift CPython's int-to-str digit limit
+    # (added in 3.10.7) while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CapacityError as exc:
@@ -371,6 +385,9 @@ def main(argv=None) -> int:
     except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -286,12 +286,12 @@ def brute_force_max_code(
     """Exact largest code of length n free of overlaps sized t1..t2.
 
     Words sharing the (t2-prefix, t2-suffix) signature conflict identically,
-    so the conflict graph is collapsed to one weighted vertex per signature
-    before the exact independent-set search. Self-conflicting signatures are
-    dropped up front: such words can never appear in any code. Every optimum
-    is a union of whole signature classes, hence with canonical=True the
-    greedy by smallest member word yields the lexicographically smallest
-    optimal code.
+    so the conflict graph is collapsed to one vertex per signature before the
+    exact independent-set search; every class holds the same number of
+    words. Self-conflicting signatures are dropped up front: such words can
+    never appear in any code. Every optimum is a union of whole signature
+    classes, hence with canonical=True the greedy by smallest member word
+    yields the lexicographically smallest optimal code.
     """
     if not 1 <= t1 <= t2 <= n - 1:
         raise DomainError(f"need 1 <= t1 <= t2 <= n-1, got t1={t1}, t2={t2}, n={n}")
@@ -309,9 +309,11 @@ def brute_force_max_code(
     sigs = sorted(classes)
     nc = len(sigs)
     adj = _conflict_rows(sigs, t1, t2)
-
-    weights = [len(classes[s]) for s in sigs]
-    size, chosen = search.max_weight_independent_set(adj, weights, (1 << nc) - 1)
+    live = (1 << nc) - 1
+    # the colour-ordered search proves the optimum fast when t1 < t2, and
+    # stops the first-optimum search there; with t1 == t2 its bound stalls
+    target = search.max_independent_set_size(adj, live) if t1 < t2 else None
+    count, chosen = search.first_max_independent_set(adj, live, target)
 
     if canonical:
         # classes are disjoint, every optimum uses whole classes and all
@@ -326,11 +328,10 @@ def brute_force_max_code(
                 if adj[i] & taken:
                     return -1
                 live &= ~adj[i]
-            rest_w, _ = search.max_weight_independent_set(adj, weights, live)
-            return sum(weights[i] for i in kept) + rest_w
+            return len(kept) + search.max_independent_set_size(adj, live)
 
-        kept = search.lex_refine(list(range(nc)), size, best_with)
-        if sum(weights[i] for i in kept) != size:
+        kept = search.lex_refine(list(range(nc)), count, best_with)
+        if len(kept) != count:
             raise AssertionError("canonical refinement lost the optimum")
         chosen = sum(1 << i for i in kept)
 
@@ -338,4 +339,5 @@ def brute_force_max_code(
     for i, s in enumerate(sigs):
         if (chosen >> i) & 1:
             values.extend(classes[s])
-    return size, Code(n, values)
+    # every class holds the 2^(n - 2*t2) words between its head and tail
+    return count << max(0, n - 2 * t2), Code(n, values)

@@ -1,9 +1,11 @@
 """Exact branch-and-bound searches and the canonical refinement they share.
 
-Both engines work on graphs given as bitmask neighbour rows: the two-sided
-search on the bipartite prefix/suffix graph, and the weighted independent
-set search on the oracle's signature-class graph. `lex_refine` turns either
-optimum into a canonical one.
+The engines work on graphs given as bitmask neighbour rows. The two-sided
+search runs on the bipartite prefix/suffix graph. Two independent-set
+searches run on the oracle's signature-class graph: a colour-ordered one
+that proves the optimum's size, and a max-degree one that returns the first
+optimum in its own order and can stop as soon as it reaches a size proven
+by the other. `lex_refine` turns an optimum into a canonical one.
 """
 
 # Search nodes before the two-sided search gives up. Every reduced search up
@@ -65,43 +67,91 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
     return best[0], xs, best[2], left >= 0
 
 
-def max_weight_independent_set(
-    adj: list[int], weights: list[int], live: int
-) -> tuple[int, int]:
-    """Exact max-weight independent set among the live vertices; returns
-    (weight, chosen bitmask).
+def max_independent_set_size(adj: list[int], live: int) -> int:
+    """Size of a largest independent set among the live vertices.
 
-    Branch and bound on bitmasks: branch on the highest-degree live vertex,
-    bound by a greedy clique cover (each clique contributes its max weight).
+    Colour-ordered branch and bound on bitmasks (MCQ of Tomita and Seki,
+    DMTCS 2003, run on the complement graph). The live vertices are
+    renumbered by ascending degree; each node covers its candidates greedily
+    by cliques in that order, and branches on the vertices of the last
+    cliques first, stopping once the clique count can no longer beat the
+    incumbent.
     """
-    best_w = 0
+    verts = sorted(_bits(live), key=lambda v: (adj[v] & live).bit_count())
+    index = {v: 1 << i for i, v in enumerate(verts)}
+    nbr = [sum(index[u] for u in _bits(adj[v] & live)) for v in verts]
+    best = 0
+
+    def expand(cand: int, size: int):
+        nonlocal best
+        # order[i] lies in clique number cover[i] of the greedy cover; the
+        # first best - size cliques can never lead to a gain, so their
+        # vertices are not listed
+        order, cover = [], []
+        rest, k, skip = cand, 0, best - size
+        while rest:
+            k += 1
+            clique = rest
+            while clique:
+                low = clique & -clique
+                rest ^= low
+                clique &= nbr[low.bit_length() - 1]
+                if k > skip:
+                    order.append(low)
+                    cover.append(k)
+        for i in range(len(order) - 1, -1, -1):
+            if size + cover[i] <= best:
+                return
+            low = order[i]
+            sub = cand & ~nbr[low.bit_length() - 1] & ~low
+            if sub:
+                expand(sub, size + 1)
+            elif size >= best:
+                best = size + 1
+            cand ^= low
+
+    expand((1 << len(verts)) - 1, 0)
+    return best
+
+
+def first_max_independent_set(
+    adj: list[int], live: int, target: int | None = None
+) -> tuple[int, int]:
+    """The first maximum independent set among the live vertices in this
+    search's order, as (size, chosen bitmask).
+
+    Branch and bound on bitmasks: branch on the highest-degree live vertex
+    (the lowest index among equals), taking it first; bound by a greedy
+    clique cover. The incumbent changes only on a strict gain, so once it
+    reaches the optimum it is the answer: given target, the optimum's size,
+    the search returns at that point and skips the rest of the proof.
+    """
+    best = 0
     best_mask = 0
+    stop = float("inf") if target is None else target
 
     def cover_bound(mask: int) -> int:
         bound = 0
         rest = mask
         while rest:
             v = (rest & -rest).bit_length() - 1
-            top = weights[v]
             cand = rest & adj[v]
             clique = 1 << v
             while cand:
                 u = (cand & -cand).bit_length() - 1
-                if weights[u] > top:
-                    top = weights[u]
                 clique |= 1 << u
                 cand &= adj[u]
             rest &= ~clique
-            bound += top
+            bound += 1
         return bound
 
     def dfs(mask: int, acc: int, chosen: int):
-        nonlocal best_w, best_mask
-        if acc > best_w:
-            best_w, best_mask = acc, chosen
-        if not mask:
+        nonlocal best, best_mask
+        if acc > best:
+            best, best_mask = acc, chosen
+        if not mask or best >= stop:
             return
-        if acc + cover_bound(mask) <= best_w:
+        if acc + cover_bound(mask) <= best:
             return
         v, deg = -1, -1
         mm = mask
@@ -113,20 +163,23 @@ def max_weight_independent_set(
             mm &= mm - 1
         if deg == 0:
             # remaining vertices are pairwise compatible: take them all
-            total = acc
-            mm = mask
-            while mm:
-                u = (mm & -mm).bit_length() - 1
-                total += weights[u]
-                mm &= mm - 1
-            if total > best_w:
-                best_w, best_mask = total, chosen | mask
+            total = acc + mask.bit_count()
+            if total > best:
+                best, best_mask = total, chosen | mask
             return
-        dfs(mask & ~(adj[v] | (1 << v)), acc + weights[v], chosen | (1 << v))
+        dfs(mask & ~(adj[v] | (1 << v)), acc + 1, chosen | (1 << v))
         dfs(mask & ~(1 << v), acc, chosen)
 
     dfs(live, 0, 0)
-    return best_w, best_mask
+    return best, best_mask
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def lex_refine(candidates, target, best_with):

@@ -74,3 +74,26 @@ def count_cyclic_run_free_brute(a: int) -> int:
         raise CapacityError(f"brute force capped at a = {NU_BRUTE_CAP}")
     ell, z = 1 << a, a - 1
     return sum(1 for w in range(1 << ell) if max_cyclic_zero_run(w, ell) < z)
+
+
+MIS_BRUTE_CAP = 48
+
+
+def max_independent_set_brute(adj: list[int], live: int) -> int:
+    """Largest independent set among the live vertices of a graph given by
+    bitmask rows: the lowest live vertex is either in the set or out of it,
+    with each live set solved once."""
+    if live.bit_length() > MIS_BRUTE_CAP:
+        raise CapacityError(f"brute force capped at {MIS_BRUTE_CAP} vertices")
+    memo = {0: 0}
+
+    def best(mask: int) -> int:
+        if mask not in memo:
+            low = mask & -mask
+            rest = mask ^ low
+            v = low.bit_length() - 1
+            memo[mask] = max(1 + best(rest & ~adj[v]),
+                             best(rest) if adj[v] & rest else 0)
+        return memo[mask]
+
+    return best(live)

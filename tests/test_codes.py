@@ -205,10 +205,43 @@ def test_oracle_conflict_rows_match_pairwise_definition():
 def test_oracle_plain_output_is_pinned():
     # the first optimum in search order, as the plain oracle CLI prints it
     triples = [(n, t1, t2) for n in range(2, 7) for t1 in range(1, n) for t2 in range(t1, n)]
+    triples += [(9, 2, 4), (10, 1, 5)]
+    # with t1 < t2 the search stops once it reaches the proven optimum; these
+    # graphs have long proofs after their first optimum
+    triples += [(7, t1, t2) for t1 in range(1, 7) for t2 in range(t1 + 1, 7)]
+    triples += [(8, 3, 7), (9, 3, 8)]
     h = hashlib.sha256()
-    for n, t1, t2 in triples + [(9, 2, 4), (10, 1, 5)]:
+    for n, t1, t2 in triples:
         h.update(f"{n} {t1} {t2}: {brute_force_max_code(n, t1, t2)[1].words}\n".encode())
-    assert h.hexdigest() == "47f8652c7608a2d87d7015edccc2c86a48b898ffbbdbc6450e04b582c359124b"
+    assert h.hexdigest() == "2313492aaf5cc1a315c9ec116a19a3cf6f604ea393fe7d08d60a7b64210bc7b0"
+
+
+def test_oracle_sizes_match_an_integer_program():
+    # an independent optimum: HiGHS on one binary per word and one packing
+    # row per pair of words that overlap either way (a self-overlapping word
+    # gets 2x <= 1), the overlaps read off bit strings
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    for n in range(2, 7):
+        strings = [format(w, f"0{n}b") for w in range(1 << n)]
+        for t1 in range(1, n):
+            for t2 in range(t1, n):
+                rows = []
+                for u, su in enumerate(strings):
+                    for v, sv in enumerate(strings[u:], u):
+                        if any(su[:t] == sv[-t:] or sv[:t] == su[-t:]
+                               for t in range(t1, t2 + 1)):
+                            row = np.zeros(1 << n)
+                            row[u] += 1
+                            row[v] += 1
+                            rows.append(row)
+                res = optimize.milp(
+                    -np.ones(1 << n), integrality=np.ones(1 << n),
+                    bounds=optimize.Bounds(0, 1),
+                    constraints=optimize.LinearConstraint(np.array(rows), -np.inf, 1),
+                )
+                assert res.status == 0, (n, t1, t2, res.message)
+                assert brute_force_max_code(n, t1, t2)[0] == round(-res.fun), (n, t1, t2)
 
 
 def test_oracle_capacity():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -148,6 +149,33 @@ def test_cli_exit_codes_for_errors(capsys):
     assert status == 3 and "capacity" in err
     status, _, err = run_cli(capsys, "bounds", "--n", "1100", "--k", "1099")
     assert status == 3 and err.startswith("capacity error: ")
+    # refused before q^n or the digits are built
+    for argv in (["--n", "100001", "--k", "3"], ["--n", "1000000000", "--k", "3"],
+                 ["--n", "25001", "--k", "3", "--q", "10"],
+                 ["--n", "10", "--k", "3", "--places", "100001"]):
+        status, out, err = run_cli(capsys, "bounds", *argv)
+        assert status == 3 and out == "" and err.startswith("capacity error: ")
+
+
+def test_cli_prints_results_past_the_int_str_digit_limit(capsys):
+    # CPython refuses to print ints of more than 4300 digits by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    status, out, _ = run_cli(capsys, "fib", "--z", "5", "--i", "32768")
+    assert status == 0 and out.strip().isdigit() and len(out.strip()) > 4300
+    status, out, _ = run_cli(capsys, "zeroblock", "--k", "16000")
+    coefficient = out.splitlines()[1].split("\t")[5]
+    assert status == 0 and coefficient.isdigit() and len(coefficient) > 4300
+    status, out, _ = run_cli(capsys, "bounds", "--n", "10", "--k", "3",
+                             "--places", "100000")
+    assert status == 0
+    assert out.splitlines()[3] == "upper_weak\t1024/15\t68.2" + "6" * 99_998 + "7"
+    status, out, _ = run_cli(capsys, "bounds", "--n", "100000", "--k", "3")
+    name, fraction, decimal = out.splitlines()[3].split("\t")
+    num, den = fraction.split("/")
+    assert status == 0 and name == "upper_weak" and den == "199995"
+    assert num.isdigit() and len(num) > 30_000 and len(decimal) > 30_000
+    # the limit is lifted only while the command runs
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_cli_verify_rejects_undecodable_file(tmp_path, capsys):
