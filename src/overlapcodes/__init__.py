@@ -55,7 +55,7 @@ from .graph import (
     mis_matching_certificate,
 )
 from .tables import TableReport, golden_tables, reproduce_table
-from .words import BitWord, cyclic_shift, parse, prefix, suffix, t_overlap
+from .words import BitWord, parse, prefix, suffix, t_overlap
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "count_cyclic_run_free",
     "count_cyclic_spaced_ones",
     "count_no_zero_run",
-    "cyclic_shift",
     "doubling",
     "expand_system",
     "fib_nstep",

@@ -224,7 +224,7 @@ def _cmd_bounds(args) -> int:
             out["lower_gen3"] = _fraction_json(
                 counting.lower_bound_explicit(k, "gen3"), 6
             )
-    if q == 2 and k == n - 1:
+    if q == 2 and k == n - 1 and n >= 3:
         cb = counting.classic_bounds(n)
         out["classic_nine_n"] = _fraction_json(cb.nine_n, places)
         if cb.eight_n is not None:

@@ -310,10 +310,21 @@ def brute_force_max_code(
     nc = len(sigs)
     adj = _conflict_rows(sigs, t1, t2)
     live = (1 << nc) - 1
-    # the colour-ordered search proves the optimum fast when t1 < t2, and
-    # stops the first-optimum search there; with t1 == t2 its bound stalls
-    target = search.max_independent_set_size(adj, live) if t1 < t2 else None
-    count, chosen = search.first_max_independent_set(adj, live, target)
+    # the optimum's class count, where it is cheap to know, stops the
+    # first-optimum search there. With t1 == t2 = t <= n/2 the t-heads and
+    # t-tails of a code are disjoint, so at most 2^(2t-2) classes fit (heads
+    # starting 0, tails starting 1); with t1 < t2 the colour-ordered search
+    # proves it fast, but with t1 == t2 its bound stalls
+    if t1 == t2 and 2 * t2 <= n:
+        target = 1 << (2 * t2 - 2)
+    elif t1 < t2:
+        target = search.max_independent_set_size(adj, live)
+    else:
+        target = None
+    if canonical and target is not None:
+        count = target  # the refinement below picks the set
+    else:
+        count, chosen = search.first_max_independent_set(adj, live, target)
 
     if canonical:
         # classes are disjoint, every optimum uses whole classes and all

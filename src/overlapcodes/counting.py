@@ -7,7 +7,7 @@ values in published tables can be compared as strings.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError
@@ -104,44 +104,25 @@ def count_cyclic_run_free(a: int) -> int:
 # symbolic sizes: coefficient * 2^(n - offset) for a symbolic length n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SymbolicSize:
-    """Exact code-family size coefficient * 2**(n - offset), n symbolic."""
+    """Exact code-family size coefficient * 2**(n - offset), n symbolic.
 
-    coefficient: int
-    offset: int
+    Equality, hashing and order go through the exact size per 2**n, so
+    2 x 2^(n-4) equals 1 x 2^(n-3).
+    """
+
+    coefficient: int = field(compare=False)
+    offset: int = field(compare=False)
+    _per_word: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.coefficient < 0:
             raise DomainError("coefficient must be non-negative")
-
-    def _normalized(self) -> tuple[int, int]:
-        if self.coefficient == 0:
-            return (0, 0)
-        shift = (self.coefficient & -self.coefficient).bit_length() - 1
-        return (self.coefficient >> shift, self.offset - shift)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolicSize):
-            return NotImplemented
-        return self._normalized() == other._normalized()
-
-    def __hash__(self):
-        return hash(self._normalized())
-
-    def _cmp_key(self, other: "SymbolicSize") -> tuple[int, int]:
-        # shift both onto the larger offset so the comparison is integral
-        c = max(self.offset, other.offset)
-        return (self.coefficient << (c - self.offset),
-                other.coefficient << (c - other.offset))
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
+        c, e = self.coefficient, self.offset
+        object.__setattr__(
+            self, "_per_word", Fraction(c << max(0, -e), 1 << max(0, e))
+        )
 
     def value_at(self, n: int) -> int:
         if n < self.offset:
@@ -150,7 +131,7 @@ class SymbolicSize:
 
     def per_word_fraction(self) -> Fraction:
         """size / 2**n as an exact fraction."""
-        return Fraction(self.coefficient, 1 << self.offset)
+        return self._per_word
 
     def __str__(self):
         return f"{self.coefficient} x 2^(n-{self.offset})"

@@ -25,13 +25,13 @@ from .words import BitWord, int_overlap
 GRAPH_MAX_K = 16
 
 
+@dataclass(frozen=True, eq=False)
 class OverlapGraph:
     """Adjacency of the incompatibility graph, one 2^k-bit row per prefix:
     rows[p] is the bitmask over the suffix words adjacent to x_p."""
 
-    def __init__(self, k: int, rows: list[int]):
-        self.k = k
-        self.rows = rows
+    k: int
+    rows: list[int]
 
     def has_edge(self, p: int, s: int) -> bool:
         return (self.rows[p] >> s) & 1 == 1

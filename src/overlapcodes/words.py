@@ -7,6 +7,8 @@ suffix, and overlap test is a couple of shifts and masks on one machine
 word. Everything here is a pure function on immutable values.
 """
 
+from dataclasses import dataclass
+
 from .errors import CapacityError, DomainError
 
 MAX_BITS = 64
@@ -20,14 +22,6 @@ def _check_length(n: int):
 
 
 # int-level primitives; value is assumed to fit in n bits
-def int_prefix(value: int, n: int, t: int) -> int:
-    return value >> (n - t)
-
-
-def int_suffix(value: int, t: int) -> int:
-    return value & ((1 << t) - 1)
-
-
 def int_overlap(u: int, v: int, n: int, t: int) -> bool:
     """t-prefix of u equals t-suffix of v."""
     return (u >> (n - t)) == (v & ((1 << t) - 1))
@@ -37,30 +31,17 @@ def int_to_bits(value: int, n: int) -> str:
     return format(value, f"0{n}b")
 
 
+@dataclass(frozen=True, slots=True)
 class BitWord:
     """An immutable binary word of fixed length (1..64 bits)."""
 
-    __slots__ = ("length", "value")
+    length: int
+    value: int
 
-    def __init__(self, length: int, value: int):
-        _check_length(length)
-        if not 0 <= value < (1 << length):
-            raise DomainError(f"value {value} does not fit in {length} bits")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BitWord is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BitWord)
-            and self.length == other.length
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.length, self.value))
+    def __post_init__(self):
+        _check_length(self.length)
+        if not 0 <= self.value < (1 << self.length):
+            raise DomainError(f"value {self.value} does not fit in {self.length} bits")
 
     def __lt__(self, other):
         if not isinstance(other, BitWord) or other.length != self.length:
@@ -85,13 +66,13 @@ def parse(text: str) -> BitWord:
 def prefix(w: BitWord, t: int) -> BitWord:
     if not 1 <= t <= w.length:
         raise DomainError(f"prefix size {t} out of range 1..{w.length}")
-    return BitWord(t, int_prefix(w.value, w.length, t))
+    return BitWord(t, w.value >> (w.length - t))
 
 
 def suffix(w: BitWord, t: int) -> BitWord:
     if not 1 <= t <= w.length:
         raise DomainError(f"suffix size {t} out of range 1..{w.length}")
-    return BitWord(t, int_suffix(w.value, t))
+    return BitWord(t, w.value & ((1 << t) - 1))
 
 
 def t_overlap(u: BitWord, v: BitWord, t: int) -> bool:
@@ -102,11 +83,3 @@ def t_overlap(u: BitWord, v: BitWord, t: int) -> bool:
         raise DomainError(f"overlap size {t} out of range 1..{u.length}")
     return int_overlap(u.value, v.value, u.length, t)
 
-
-def cyclic_shift(w: BitWord, j: int) -> BitWord:
-    """Rotate left by j: a1..an -> a(j+1)..an a1..aj."""
-    if not 0 <= j < w.length:
-        raise DomainError(f"shift {j} out of range 0..{w.length - 1}")
-    n = w.length
-    v = ((w.value << j) | (w.value >> (n - j))) & ((1 << n) - 1)
-    return BitWord(n, v)

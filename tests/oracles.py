@@ -7,7 +7,7 @@ capped so that a test cannot ask for an exponential run by accident.
 
 from itertools import combinations
 
-from overlapcodes import CapacityError, DomainError
+from overlapcodes import BitWord, CapacityError, DomainError
 from overlapcodes.words import int_overlap
 
 NO_ZERO_RUN_BRUTE_CAP = 20
@@ -19,6 +19,15 @@ def adjacent(p: int, s: int, k: int) -> bool:
     """Edge predicate of the incompatibility graph: some t-prefix of p
     equals the t-suffix of s."""
     return any(int_overlap(p, s, k, t) for t in range(1, k + 1))
+
+
+def cyclic_shift(w: BitWord, j: int) -> BitWord:
+    """Rotate left by j: a1..an -> a(j+1)..an a1..aj."""
+    if not 0 <= j < w.length:
+        raise DomainError(f"shift {j} out of range 0..{w.length - 1}")
+    n = w.length
+    v = ((w.value << j) | (w.value >> (n - j))) & ((1 << n) - 1)
+    return BitWord(n, v)
 
 
 def fib_nstep_terms(z: int, last: int) -> list[int]:

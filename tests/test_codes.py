@@ -177,6 +177,16 @@ def test_oracle_known_optima():
         assert is_overlap_free(code, t1, t2)[0]
 
 
+def test_oracle_single_overlap_size_up_to_half_the_length():
+    # the t-heads and t-tails of a code are disjoint, so at most 2^(n-2)
+    # words fit when 2t <= n; a search that must prove this takes minutes
+    for n in range(2, 11):
+        for t in range(1, n // 2 + 1):
+            size, code = brute_force_max_code(n, t, t)
+            assert size == len(code) == 1 << (n - 2), (n, t)
+            assert is_overlap_free(code, t, t)[0], (n, t)
+
+
 def test_oracle_never_beats_counting_bounds():
     for n, t1, t2 in [(4, 1, 2), (5, 1, 2), (6, 2, 5), (7, 3, 6), (6, 1, 5)]:
         size, _ = brute_force_max_code(n, t1, t2)

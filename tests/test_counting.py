@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapcodes import (
     CapacityError,
@@ -253,6 +255,23 @@ def test_symbolic_size_comparison_and_eval():
     with pytest.raises(DomainError):
         SymbolicSize(216, 12).value_at(11)
     assert SymbolicSize(5, 4).per_word_fraction() == Fraction(5, 16)
+    assert SymbolicSize(3, -2).per_word_fraction() == 12
+
+
+sizes = st.builds(SymbolicSize, st.integers(0, 1 << 70) | st.just(0),
+                  st.integers(-8, 80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, sizes)
+def test_symbolic_size_compares_as_integers_on_a_common_offset(a, b):
+    top = max(a.offset, b.offset)
+    x = a.coefficient << (top - a.offset)
+    y = b.coefficient << (top - b.offset)
+    assert (a == b) == (x == y) and (a != b) == (x != y)
+    assert (a < b) == (x < y) and (a <= b) == (x <= y)
+    if x == y:
+        assert hash(a) == hash(b)
 
 
 def test_render_decimal():

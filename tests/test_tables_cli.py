@@ -281,6 +281,13 @@ def test_cli_bounds_json(capsys):
     }
 
 
+def test_cli_bounds_below_the_classic_domain(capsys):
+    # k = n - 1 at n = 2: the classic rows need n >= 3, the others apply
+    status, out, err = run_cli(capsys, "bounds", "--n", "2", "--k", "1")
+    assert status == 0 and err == ""
+    assert out.splitlines()[3:] == ["upper_weak\t4/3\t1.3", "upper_1k\t2/1\t2"]
+
+
 def test_cli_doubling_json_rows(capsys):
     status, out, _ = run_cli(capsys, "--format", "json", "doubling",
                              "--kmax", "5")

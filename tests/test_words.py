@@ -4,12 +4,12 @@ from overlapcodes import (
     BitWord,
     CapacityError,
     DomainError,
-    cyclic_shift,
     parse,
     prefix,
     suffix,
     t_overlap,
 )
+from oracles import cyclic_shift
 
 
 def test_bitword_examples():
@@ -72,6 +72,21 @@ def test_equality_requires_matching_length():
     assert parse("001") != parse("0001")
     assert parse("001") == BitWord(3, 1)
     assert hash(parse("001")) == hash(BitWord(3, 1))
+    assert BitWord(3, 1) != (3, 1)
+
+
+def test_bitword_is_immutable_and_orders_within_one_length():
+    w = BitWord(3, 1)
+    with pytest.raises(AttributeError):
+        w.value = 2
+    with pytest.raises(AttributeError):
+        w.length = 4
+    assert BitWord(3, 1) < BitWord(3, 2) and not BitWord(3, 2) < BitWord(3, 1)
+    assert sorted([parse("10"), parse("01")]) == [parse("01"), parse("10")]
+    with pytest.raises(TypeError):
+        BitWord(3, 1) < BitWord(4, 2)
+    with pytest.raises(TypeError):
+        BitWord(3, 1) < 2
 
 
 def test_extractors_agree_with_string_reference_exhaustive():
