@@ -280,6 +280,30 @@ def _conflict_rows(sigs: list[tuple[int, int]], t1: int, t2: int) -> list[int]:
     return adj
 
 
+def _symmetries(sigs: list[tuple[int, int]], t2: int) -> tuple:
+    """Reversal, complement and both, as maps on the indices of the sorted
+    width-t2 signatures sigs, which must be closed under both.
+
+    Reversing a word turns its head into its reversed tail and its tail
+    into its reversed head, (head, tail) -> (rev tail, rev head), and
+    complementing it keeps every equality between heads and tails. Each map
+    thus sends a code free of overlaps sized t1..t2 to another, and
+    preserves the conflict rows. Complement reverses the sorted order. The
+    search maps only its root branches, so each image is looked up when
+    asked for.
+    """
+    rev = [0] * (1 << t2)
+    for x in range(1, 1 << t2):
+        rev[x] = rev[x >> 1] >> 1 | (x & 1) << (t2 - 1)
+    last = len(sigs) - 1
+
+    def mirror(i: int) -> int:
+        head, tail = sigs[i]
+        return bisect_left(sigs, (rev[tail], rev[head]))
+
+    return mirror, lambda i: last - i, lambda i: last - mirror(i)
+
+
 def brute_force_max_code(
     n: int, t1: int, t2: int, canonical: bool = False
 ) -> tuple[int, Code]:
@@ -318,7 +342,7 @@ def brute_force_max_code(
     if t1 == t2 and 2 * t2 <= n:
         target = 1 << (2 * t2 - 2)
     elif t1 < t2:
-        target = search.max_independent_set_size(adj, live)
+        target = search.max_independent_set_size(adj, live, _symmetries(sigs, t2))
     else:
         target = None
     if canonical and target is not None:

@@ -6,6 +6,15 @@ searches run on the oracle's signature-class graph: a colour-ordered one
 that proves the optimum's size, and a max-degree one that returns the first
 optimum in its own order and can stop as soon as it reaches a size proven
 by the other. `lex_refine` turns an optimum into a canonical one.
+
+The colour-ordered search can prune its root by automorphisms of the graph.
+Once the root branch on v has finished, no independent set through v beats
+the incumbent. An automorphism σ maps an independent set through σ(v) to
+one of the same size through v, so none through σ(v) beats it either, and
+σ(v) is dropped from the root's candidates with v (orbital branching,
+Ostrowski et al., Math. Programming 2011, applied at the root only). The
+dropped set is never branched on again, so it need not be closed under the
+group.
 """
 
 # Search nodes before the two-sided search gives up. Every reduced search up
@@ -67,7 +76,7 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
     return best[0], xs, best[2], left >= 0
 
 
-def max_independent_set_size(adj: list[int], live: int) -> int:
+def max_independent_set_size(adj: list[int], live: int, symmetries=()) -> int:
     """Size of a largest independent set among the live vertices.
 
     Colour-ordered branch and bound on bitmasks (MCQ of Tomita and Seki,
@@ -76,13 +85,19 @@ def max_independent_set_size(adj: list[int], live: int) -> int:
     by cliques in that order, and branches on the vertices of the last
     cliques first, stopping once the clique count can no longer beat the
     incumbent.
+
+    symmetries are maps from vertex to vertex, each an automorphism of the
+    graph induced on the live vertices. When the root branch on v finishes,
+    every independent set through v is ruled out, so every set through the
+    image of v under a symmetry is too (the symmetry's inverse maps it to
+    one through v); those images leave the root's candidates with v.
     """
     verts = sorted(_bits(live), key=lambda v: (adj[v] & live).bit_count())
     index = {v: 1 << i for i, v in enumerate(verts)}
     nbr = [sum(index[u] for u in _bits(adj[v] & live)) for v in verts]
     best = 0
 
-    def expand(cand: int, size: int):
+    def expand(cand: int, size: int, symmetries=()):
         nonlocal best
         # order[i] lies in clique number cover[i] of the greedy cover; the
         # first best - size cliques can never lead to a gain, so their
@@ -103,14 +118,18 @@ def max_independent_set_size(adj: list[int], live: int) -> int:
             if size + cover[i] <= best:
                 return
             low = order[i]
+            if not cand & low:
+                continue  # dropped at the root as the image of a finished branch
             sub = cand & ~nbr[low.bit_length() - 1] & ~low
             if sub:
                 expand(sub, size + 1)
             elif size >= best:
                 best = size + 1
             cand ^= low
+            for image in symmetries:
+                cand &= ~index[image(verts[low.bit_length() - 1])]
 
-    expand((1 << len(verts)) - 1, 0)
+    expand((1 << len(verts)) - 1, 0, symmetries)
     return best
 
 

@@ -13,6 +13,7 @@ from overlapcodes import (
     expand_system,
     is_overlap_free,
     read_code,
+    search,
     symbolic_size,
     upper_bound_1k,
     upper_bound_weak,
@@ -212,6 +213,53 @@ def test_oracle_conflict_rows_match_pairwise_definition():
                 assert codes._conflict_rows(sigs, t1, t2) == expect, (n, t1, t2)
 
 
+def kept_signatures(n, t1, t2):
+    """The oracle's vertices: the width-t2 (head, tail) signatures of the
+    words of length n that overlap themselves at no size in t1..t2."""
+    sigs = {(w >> (n - t2), w & ((1 << t2) - 1)) for w in range(1 << n)}
+    return sorted((h, t) for h, t in sigs
+                  if not any(int_overlap(h, t, t2, s) for s in range(t1, t2 + 1)))
+
+
+def rev(x, width):
+    """x read backwards as a width-bit word."""
+    return int(format(x, f"0{width}b")[::-1], 2)
+
+
+def test_oracle_symmetries_are_automorphisms():
+    for n in range(3, 9):
+        for t1 in range(1, n):
+            for t2 in range(t1 + 1, n):
+                sigs = kept_signatures(n, t1, t2)
+                adj = codes._conflict_rows(sigs, t1, t2)
+                flip = (1 << t2) - 1
+                mirror, complement, both = codes._symmetries(sigs, t2)
+                for perm, want in (
+                    (mirror, lambda h, t: (rev(t, t2), rev(h, t2))),
+                    (complement, lambda h, t: (flip ^ h, flip ^ t)),
+                    (both, lambda h, t: (flip ^ rev(t, t2), flip ^ rev(h, t2))),
+                ):
+                    images = [perm(i) for i in range(len(sigs))]
+                    assert [sigs[j] for j in images] == [want(*sig) for sig in sigs]
+                    assert sorted(images) == list(range(len(sigs))), (n, t1, t2)
+                    for i, row in enumerate(adj):
+                        assert adj[images[i]] == sum(
+                            1 << images[j] for j in range(len(sigs)) if row >> j & 1
+                        ), (n, t1, t2, i)
+
+
+def test_oracle_proof_is_unchanged_by_symmetry_pruning():
+    for n in range(3, 8):
+        for t1 in range(1, n):
+            for t2 in range(t1 + 1, n):
+                sigs = kept_signatures(n, t1, t2)
+                adj = codes._conflict_rows(sigs, t1, t2)
+                live = (1 << len(sigs)) - 1
+                pruned = search.max_independent_set_size(
+                    adj, live, codes._symmetries(sigs, t2))
+                assert pruned == search.max_independent_set_size(adj, live), (n, t1, t2)
+
+
 def test_oracle_plain_output_is_pinned():
     # the first optimum in search order, as the plain oracle CLI prints it
     triples = [(n, t1, t2) for n in range(2, 7) for t1 in range(1, n) for t2 in range(t1, n)]
@@ -224,6 +272,15 @@ def test_oracle_plain_output_is_pinned():
     for n, t1, t2 in triples:
         h.update(f"{n} {t1} {t2}: {brute_force_max_code(n, t1, t2)[1].words}\n".encode())
     assert h.hexdigest() == "2313492aaf5cc1a315c9ec116a19a3cf6f604ea393fe7d08d60a7b64210bc7b0"
+
+
+def test_oracle_plain_output_is_pinned_where_the_proof_is_long():
+    # the proofs of these two take most of a second or more without the
+    # symmetry pruning; the digest was taken before it
+    h = hashlib.sha256()
+    for n, t1, t2 in [(7, 5, 6), (8, 4, 6)]:
+        h.update(f"{n} {t1} {t2}: {brute_force_max_code(n, t1, t2)[1].words}\n".encode())
+    assert h.hexdigest() == "b9e721ba253ae117f2d0a6db5e5258aad8bbd55cf03eaea240d4d987237c8094"
 
 
 def test_oracle_sizes_match_an_integer_program():
