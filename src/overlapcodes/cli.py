@@ -1,14 +1,19 @@
 """Command-line front end.
 
-Exit statuses: 0 success, 1 falsified verification (witness printed),
-2 usage/domain error, 3 capacity error. All numeric output is exact:
-decimal strings for big integers, num/den pairs for rationals.
+Each command builds its result once, and `_emit` prints it in the form
+--format selects: json, one document with indent=1 (only `fib` prints its
+object on a single line), or tsv, text lines, with a header row of column
+names wherever the result is a table. Exit statuses: 0 success, 1
+falsified verification (witness printed), 2 usage/domain error, 3
+capacity error. All numeric output is exact: decimal strings for big
+integers, num/den pairs for rationals.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import codes, constructions, counting, graph, tables
 from .errors import CapacityError, DomainError
@@ -32,52 +37,54 @@ def _fraction_json(f: Fraction, places: int) -> dict:
     }
 
 
-def _emit_rows(args, columns: list[str], rows: list[dict]):
+def _emit(args, payload, lines):
+    """Print payload as indented JSON under --format json, else the text
+    lines, which may be an iterator so that JSON mode never builds them."""
     if args.format == "json":
-        print(json.dumps(rows if len(rows) != 1 else rows[0], indent=1))
+        print(json.dumps(payload, indent=1))
     else:
-        print("\t".join(columns))
-        for row in rows:
-            print("\t".join(
-                json.dumps(row[c]) if isinstance(row[c], dict) else str(row[c])
-                for c in columns
-            ))
+        for line in lines:
+            print(line)
 
 
-def _construction_row(k, name, params, p_size, s_size, size):
-    return {
-        "k": k,
-        "construction": name,
-        "params": params or {},
-        "p_size": p_size if p_size is not None else "-",
-        "s_size": s_size if s_size is not None else "-",
-        "coefficient": str(size.coefficient),
-        "offset": size.offset,
-    }
+def _tsv(header: list[str], rows):
+    """Tab-separated lines: the header, then one line per row of strings."""
+    return map("\t".join, chain([header], rows))
 
 
-CONSTRUCTION_COLUMNS = [
-    "k", "construction", "params", "p_size", "s_size", "coefficient", "offset",
-]
+def _emit_rows(args, rows: list[dict]):
+    """A table of rows with the same keys: a JSON list (a lone row as its
+    object), or TSV with the keys as header and dict cells as JSON."""
+    _emit(args, rows if len(rows) != 1 else rows[0], _tsv(list(rows[0]), (
+        [json.dumps(v) if isinstance(v, dict) else str(v) for v in row.values()]
+        for row in rows
+    )))
+
+
+def _emit_construction(args, k, name, params, p_size, s_size, coefficient, offset):
+    """The one-row table of a construction of coefficient * 2^(n - offset)
+    words; a value that does not apply is None and prints as "-"."""
+    row = {"k": k, "construction": name, "params": params, "p_size": p_size,
+           "s_size": s_size, "coefficient": str(coefficient), "offset": offset}
+    _emit_rows(args, [{c: "-" if v is None else v for c, v in row.items()}])
+
+
+def _write_code(path: str, code: codes.Code):
+    with open(path, "w") as fh:
+        codes.write_code(code, fh)
 
 
 def _cmd_verify(args) -> int:
     with open(args.file) as fh:
         code = codes.read_code(fh)
     ok, witness = codes.is_overlap_free(code, args.t1, args.t2)
-    if args.format == "json":
-        print(json.dumps({
-            "ok": ok, "n": code.n, "words": len(code),
-            "t1": args.t1, "t2": args.t2,
-            "witness": None if ok else {
-                "u": str(witness.u), "v": str(witness.v), "t": witness.t,
-            },
-        }, indent=1))
-    elif ok:
-        print(f"OK: {len(code)} words of length {code.n}, "
-              f"no overlaps of size {args.t1}..{args.t2}")
-    else:
-        print(f"FALSIFIED: {witness}")
+    _emit(args, {
+        "ok": ok, "n": code.n, "words": len(code), "t1": args.t1, "t2": args.t2,
+        "witness": None if ok else {
+            "u": str(witness.u), "v": str(witness.v), "t": witness.t,
+        },
+    }, [f"OK: {len(code)} words of length {code.n}, "
+        f"no overlaps of size {args.t1}..{args.t2}" if ok else f"FALSIFIED: {witness}"])
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
@@ -86,82 +93,53 @@ def _cmd_oracle(args) -> int:
         args.n, args.t1, args.t2, canonical=args.canonical
     )
     if args.emit:
-        with open(args.emit, "w") as fh:
-            codes.write_code(code, fh)
-    if args.format == "json":
-        print(json.dumps({
-            "n": args.n, "t1": args.t1, "t2": args.t2, "size": size,
-            "words": [str(w) for w in code],
-        }, indent=1))
-    else:
-        print(f"maximum size: {size}")
-        for w in code:
-            print(w)
+        _write_code(args.emit, code)
+    words = [str(w) for w in code]
+    _emit(args, {"n": args.n, "t1": args.t1, "t2": args.t2, "size": size, "words": words},
+          [f"maximum size: {size}", *words])
     return EXIT_OK
 
 
 def _cmd_doubling(args) -> int:
     steps = constructions.doubling(args.kmax, keep_sets=False)
-    rows = [
+    _emit_rows(args, [
         {"k": s.k, "p_size": s.p_size, "s_size": s.s_size,
          "product": s.product, "offset": 2 * s.k}
         for s in steps
-    ]
-    _emit_rows(args, ["k", "p_size", "s_size", "product", "offset"], rows)
+    ])
     return EXIT_OK
 
 
 def _cmd_mmin(args) -> int:
     res = constructions.m_minimum(args.k)
-    row = _construction_row(
-        args.k, "m-minimum", {"m": res.m},
-        res.m, len(res.system.suffixes), res.size,
-    )
-    _emit_rows(args, CONSTRUCTION_COLUMNS, [row])
+    _emit_construction(args, args.k, "m-minimum", {"m": res.m}, res.m,
+                       len(res.system.suffixes), res.size.coefficient, res.size.offset)
     return EXIT_OK
 
 
 def _cmd_zeroblock(args) -> int:
-    need_sets = bool(args.emit or args.emit_sets)
-    res = constructions.zero_block(args.k, emit_sets=need_sets)
+    res = constructions.zero_block(args.k, emit_sets=bool(args.emit or args.emit_sets))
     if args.emit:
         n = args.n if args.n is not None else 2 * args.k
-        code = codes.expand_system(res.system, n)
-        with open(args.emit, "w") as fh:
-            codes.write_code(code, fh)
+        _write_code(args.emit, codes.expand_system(res.system, n))
     if args.emit_sets:
-        for part, values in (
-            ("prefixes", res.system.prefixes),
-            ("suffixes", res.system.suffixes),
-        ):
-            c = codes.Code(args.k, values)
-            with open(f"{args.emit_sets}.{part}.txt", "w") as fh:
-                codes.write_code(c, fh)
+        for part in ("prefixes", "suffixes"):
+            _write_code(f"{args.emit_sets}.{part}.txt",
+                        codes.Code(args.k, getattr(res.system, part)))
     sizes = (None, None)
     if res.system is not None:
         sizes = (len(res.system.prefixes), len(res.system.suffixes))
-    row = _construction_row(
-        args.k, "zero-block", {"z": res.z}, sizes[0], sizes[1], res.size,
-    )
-    _emit_rows(args, CONSTRUCTION_COLUMNS, [row])
+    _emit_construction(args, args.k, "zero-block", {"z": res.z}, *sizes,
+                       res.size.coefficient, res.size.offset)
     return EXIT_OK
 
 
 def _cmd_gl(args) -> int:
     res = constructions.gilbert_levenshtein(args.n, emit_code=bool(args.emit))
     if args.emit:
-        with open(args.emit, "w") as fh:
-            codes.write_code(res.code, fh)
-    row = {
-        "k": "-",
-        "construction": "gilbert-levenshtein",
-        "params": {"n": args.n, "z": res.z},
-        "p_size": "-",
-        "s_size": "-",
-        "coefficient": str(res.size),
-        "offset": "-",
-    }
-    _emit_rows(args, CONSTRUCTION_COLUMNS, [row])
+        _write_code(args.emit, res.code)
+    _emit_construction(args, None, "gilbert-levenshtein", {"n": args.n, "z": res.z},
+                       None, None, res.size, None)
     return EXIT_OK
 
 
@@ -184,14 +162,10 @@ def _cmd_graph_opt(args) -> int:
         "x_set": [str(w) for w in res.prefix_words],
         "y_set": [str(w) for w in res.suffix_words],
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=1))
-    else:
-        for key in ("k", "objective", "x_size", "y_size", "product",
-                    "cardinality", "optimal"):
-            print(f"{key}\t{payload[key]}")
-        print("x_set\t" + " ".join(payload["x_set"]))
-        print("y_set\t" + " ".join(payload["y_set"]))
+    _emit(args, payload, (
+        f"{key}\t{' '.join(value) if isinstance(value, list) else value}"
+        for key, value in payload.items()
+    ))
     if not res.optimal:
         print("warning: node budget exhausted, result may be sub-optimal",
               file=sys.stderr)
@@ -214,16 +188,9 @@ def _cmd_bounds(args) -> int:
             Fraction(counting.upper_bound_graph(n, k)), places
         )
     if q == 2 and k >= 2:
-        out["lower_gen1"] = _fraction_json(
-            counting.lower_bound_explicit(k, "gen1"), 6
-        )
-        out["lower_gen2"] = _fraction_json(
-            counting.lower_bound_explicit(k, "gen2"), 6
-        )
-        if k & (k - 1) == 0:
-            out["lower_gen3"] = _fraction_json(
-                counting.lower_bound_explicit(k, "gen3"), 6
-            )
+        # the third generation applies only when k is a power of two
+        for gen in ("gen1", "gen2", "gen3")[:3 if k & (k - 1) == 0 else 2]:
+            out[f"lower_{gen}"] = _fraction_json(counting.lower_bound_explicit(k, gen), 6)
     if q == 2 and k == n - 1 and n >= 3:
         cb = counting.classic_bounds(n)
         out["classic_nine_n"] = _fraction_json(cb.nine_n, places)
@@ -234,20 +201,17 @@ def _cmd_bounds(args) -> int:
             "den": "2en",
             "decimal": str(cb.lev_decimal),
         }
-    if args.format == "json":
-        print(json.dumps(out, indent=1))
-    else:
-        for name, val in out.items():
-            if isinstance(val, dict):
-                print(f"{name}\t{val['num']}/{val['den']}\t{val['decimal']}")
-            else:
-                print(f"{name}\t{val}")
+    _emit(args, out, (
+        f"{name}\t{val['num']}/{val['den']}\t{val['decimal']}"
+        if isinstance(val, dict) else f"{name}\t{val}"
+        for name, val in out.items()
+    ))
     return EXIT_OK
 
 
 def _cmd_fib(args) -> int:
     value = counting.fib_nstep(args.z, args.i)
-    if args.format == "json":
+    if args.format == "json":  # one line, unlike every other command
         print(json.dumps({"z": args.z, "i": args.i, "value": str(value)}))
     else:
         print(value)
@@ -256,31 +220,26 @@ def _cmd_fib(args) -> int:
 
 def _cmd_tables(args) -> int:
     report = tables.reproduce_table(args.id, kmin=args.kmin, kmax=args.kmax)
-    if args.format == "json":
-        payload = {
-            "table": report.table_id,
-            "match": report.match,
-            "rows": [
-                {
-                    "k": row.k,
-                    "match": row.match,
-                    "cells": {
-                        c.name: {"got": c.got, "expected": c.expected,
-                                 "match": c.match}
-                        for c in row.cells
-                    },
-                }
-                for row in report.rows
-            ],
-        }
-        print(json.dumps(payload, indent=1))
-    else:
-        print("\t".join(["k"] + report.column_names() + ["status"]))
-        for row in report.rows:
-            status = "MATCH" if row.match else "MISMATCH"
-            print("\t".join(
-                [str(row.k)] + [c.render() for c in row.cells] + [status]
-            ))
+    payload = {
+        "table": report.table_id,
+        "match": report.match,
+        "rows": [
+            {
+                "k": row.k,
+                "match": row.match,
+                "cells": {
+                    c.name: {"got": c.got, "expected": c.expected, "match": c.match}
+                    for c in row.cells
+                },
+            }
+            for row in report.rows
+        ],
+    }
+    _emit(args, payload, _tsv(["k", *report.column_names(), "status"], (
+        [str(row.k), *(c.render() for c in row.cells),
+         "MATCH" if row.match else "MISMATCH"]
+        for row in report.rows
+    )))
     return EXIT_OK
 
 
@@ -298,46 +257,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="check a codebook file for overlaps")
+    def command(name, func, help, *required_ints):
+        p = sub.add_parser(name, help=help)
+        for option in required_ints:
+            p.add_argument(option, type=int, required=True)
+        p.set_defaults(func=func)
+        return p
+
+    # --file leads verify's usage line, so its int options follow by hand
+    p = command("verify", _cmd_verify, "check a codebook file for overlaps")
     p.add_argument("--file", required=True)
     p.add_argument("--t1", type=int, required=True)
     p.add_argument("--t2", type=int, required=True)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="exact maximum code by exhaustive search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
+    p = command("oracle", _cmd_oracle, "exact maximum code by exhaustive search",
+                "--n", "--t1", "--t2")
     p.add_argument("--canonical", action="store_true",
                    help="return the lexicographically smallest optimum")
     p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("doubling", help="inductive doubling construction")
-    p.add_argument("--kmax", type=int, required=True)
-    p.set_defaults(func=_cmd_doubling)
+    command("doubling", _cmd_doubling, "inductive doubling construction", "--kmax")
+    command("mmin", _cmd_mmin, "m-minimum construction", "--k")
 
-    p = sub.add_parser("mmin", help="m-minimum construction")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_mmin)
-
-    p = sub.add_parser("zeroblock", help="zero-block construction")
-    p.add_argument("--k", type=int, required=True)
+    p = command("zeroblock", _cmd_zeroblock, "zero-block construction", "--k")
     p.add_argument("--emit", metavar="FILE",
                    help="write the expanded codebook (length --n, default 2k)")
     p.add_argument("--n", type=int,
                    help="expansion length for --emit (default 2k)")
     p.add_argument("--emit-sets", metavar="BASE",
                    help="write BASE.prefixes.txt and BASE.suffixes.txt")
-    p.set_defaults(func=_cmd_zeroblock)
 
-    p = sub.add_parser("gl", help="fully non-overlapping zero-block family")
-    p.add_argument("--n", type=int, required=True)
+    p = command("gl", _cmd_gl, "fully non-overlapping zero-block family", "--n")
     p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_gl)
 
-    p = sub.add_parser("graph-opt", help="exact search on the overlap graph")
-    p.add_argument("--k", type=int, required=True)
+    p = command("graph-opt", _cmd_graph_opt, "exact search on the overlap graph", "--k")
     p.add_argument("--objective", choices=("product", "cardinality"),
                    default="product")
     p.add_argument("--node-budget", type=int, metavar="N",
@@ -345,26 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search nodes before giving up (default %(default)s)")
     p.add_argument("--canonical", action="store_true",
                    help="lexicographically smallest optimal prefix side")
-    p.set_defaults(func=_cmd_graph_opt)
 
-    p = sub.add_parser("bounds", help="all applicable closed-form bounds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("bounds", _cmd_bounds, "all applicable closed-form bounds", "--n", "--k")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--places", type=int, default=1,
                    help="decimal places for rendered values")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("fib", help="step-z Fibonacci number, exact")
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=_cmd_fib)
+    command("fib", _cmd_fib, "step-z Fibonacci number, exact", "--z", "--i")
 
-    p = sub.add_parser("tables", help="recompute a published table and diff it")
+    p = command("tables", _cmd_tables, "recompute a published table and diff it")
     p.add_argument("--id", required=True, choices=tables.TABLE_IDS)
     p.add_argument("--kmin", type=int)
     p.add_argument("--kmax", type=int)
-    p.set_defaults(func=_cmd_tables)
 
     return parser
 

@@ -16,6 +16,7 @@ from struct import pack, unpack
 from typing import Iterable, Optional, TextIO
 
 from . import search
+from .counting import SymbolicSize
 from .errors import CapacityError, DomainError
 from .words import MAX_BITS, BitWord, int_overlap
 
@@ -155,8 +156,6 @@ def validate_system(
 
 def symbolic_size(sys: PrefixSuffixSystem):
     """|P| * |S| * 2^(n-2k) as a SymbolicSize."""
-    from .counting import SymbolicSize
-
     return SymbolicSize(len(sys.prefixes) * len(sys.suffixes), 2 * sys.k)
 
 
@@ -312,25 +311,20 @@ def brute_force_max_code(
     Words sharing the (t2-prefix, t2-suffix) signature conflict identically,
     so the conflict graph is collapsed to one vertex per signature before the
     exact independent-set search; every class holds the same number of
-    words. Self-conflicting signatures are dropped up front: such words can
-    never appear in any code. Every optimum is a union of whole signature
-    classes, hence with canonical=True the greedy by smallest member word
-    yields the lexicographically smallest optimal code.
+    words, written out in closed form from its signature. Self-conflicting
+    signatures are dropped up front: such words can never appear in any
+    code. Every optimum is a union of whole signature classes, hence with
+    canonical=True the greedy by smallest member word yields the
+    lexicographically smallest optimal code.
     """
     if not 1 <= t1 <= t2 <= n - 1:
         raise DomainError(f"need 1 <= t1 <= t2 <= n-1, got t1={t1}, t2={t2}, n={n}")
     if n > ORACLE_MAX_N:
         raise CapacityError(f"oracle capped at n = {ORACLE_MAX_N}")
 
-    trange = range(t1, t2 + 1)
-    classes: dict[tuple[int, int], list[int]] = {}
-    for w in range(1 << n):
-        sig = (w >> (n - t2), w & ((1 << t2) - 1))
-        if any(int_overlap(sig[0], sig[1], t2, t) for t in trange):
-            continue
-        classes.setdefault(sig, []).append(w)
-
-    sigs = sorted(classes)
+    sigs = sorted({(w >> (n - t2), w & ((1 << t2) - 1)) for w in range(1 << n)})
+    sigs = [(head, tail) for head, tail in sigs
+            if not any(int_overlap(head, tail, t2, t) for t in range(t1, t2 + 1))]
     nc = len(sigs)
     adj = _conflict_rows(sigs, t1, t2)
     live = (1 << nc) - 1
@@ -370,9 +364,11 @@ def brute_force_max_code(
             raise AssertionError("canonical refinement lost the optimum")
         chosen = sum(1 << i for i in kept)
 
-    values = []
-    for i, s in enumerate(sigs):
-        if (chosen >> i) & 1:
-            values.extend(classes[s])
-    # every class holds the 2^(n - 2*t2) words between its head and tail
-    return count << max(0, n - 2 * t2), Code(n, values)
+    # a class is the words head || m || tail for every middle m of n - 2*t2
+    # bits; when n < 2*t2, head and tail agree where they overlap and fix
+    # one word
+    middles = range(1 << max(0, n - 2 * t2))
+    return len(middles) * count, Code(n, [
+        head << (n - t2) | m << t2 | tail
+        for i, (head, tail) in enumerate(sigs) if chosen >> i & 1 for m in middles
+    ])

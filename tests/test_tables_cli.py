@@ -427,3 +427,33 @@ def test_cli_output_is_byte_identical_to_pinned_digest(capsys):
         record = [argv, *run_cli(capsys, *argv)]
         digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == PINNED_CLI_DIGEST
+
+
+def surface_commands(tmp):
+    """CLI calls the pinned list misses: verify, --emit files and --threads."""
+    code = f"{tmp}/zb.txt"
+    yield ["zeroblock", "--k", "5", "--n", "12", "--emit", code]
+    yield ["oracle", "--n", "6", "--t1", "1", "--t2", "3", "--emit", f"{tmp}/or.txt"]
+    yield ["gl", "--n", "10", "--emit", f"{tmp}/gl.txt"]
+    yield ["zeroblock", "--k", "5", "--emit-sets", f"{tmp}/sets"]
+    for fmt in ("tsv", "json"):
+        for t2 in ("5", "6"):  # OK, then FALSIFIED
+            yield ["--threads", "4", "--format", fmt, "verify", "--file", code,
+                   "--t1", "1", "--t2", t2]
+    yield ["verify", "--file", f"{tmp}/missing.txt", "--t1", "1", "--t2", "2"]
+
+
+# sha256 over (argv, exit status, stdout, stderr) of every surface command,
+# then each file they wrote, with the temporary directory named TMP;
+# recorded before the CLI moved to one emitter
+SURFACE_CLI_DIGEST = "a856a9c9542ed87cf8fbc76deae0519fd7fcaf076db322586ecfb0faa754b0ab"
+
+
+def test_cli_surface_is_byte_identical_to_pinned_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for argv in surface_commands(tmp_path):
+        record = [argv, *run_cli(capsys, *argv)]
+        digest.update(json.dumps(record).replace(str(tmp_path), "TMP").encode() + b"\n")
+    for name in ("zb.txt", "or.txt", "gl.txt", "sets.prefixes.txt", "sets.suffixes.txt"):
+        digest.update(name.encode() + b"\n" + (tmp_path / name).read_bytes())
+    assert digest.hexdigest() == SURFACE_CLI_DIGEST
