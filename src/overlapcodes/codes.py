@@ -18,7 +18,7 @@ from typing import Iterable, Optional, TextIO
 from . import search
 from .counting import SymbolicSize
 from .errors import CapacityError, DomainError
-from .words import MAX_BITS, BitWord, int_overlap
+from .words import MAX_BITS, BitWord, int_overlap, set_bits
 
 # refuse to materialize codes larger than this
 EXPANSION_CAP = 1 << 22
@@ -84,6 +84,29 @@ class OverlapWitness:
         return f"prefix_{self.t}({self.u}) == suffix_{self.t}({self.v})"
 
 
+def _first_clash(
+    width: int, heads: tuple[int, ...], tails: tuple[int, ...], t1: int, t2: int
+) -> Optional[tuple[int, int]]:
+    """The least (t, x), t in [t1, t2], such that x is the t-head of a
+    width-bit word in heads and the t-tail of one in tails; None if none is.
+    """
+    # Size-t clashes depend only on the words' t-bit heads and tails. Up to
+    # width `base` (at most 2^base <= len/16 of the smaller side) these are
+    # cut from the base-width heads and tails; wider ones come straight from
+    # the words.
+    base = min(t2, min(len(heads), len(tails)).bit_length() - 5)
+    if base >= t1:
+        wide = (base, set(map((width - base).__rrshift__, heads)),
+                set(map(((1 << base) - 1).__and__, tails)))
+    for t in range(t1, t2 + 1):
+        w, t_heads, t_tails = wide if t <= base else (width, heads, tails)
+        hits = set(map(((1 << t) - 1).__and__, t_tails))
+        hits = hits.intersection(map((w - t).__rrshift__, t_heads))
+        if hits:
+            return t, min(hits)
+    return None
+
+
 def is_overlap_free(
     code: Code, t1: int, t2: int
 ) -> tuple[bool, Optional[OverlapWitness]]:
@@ -94,25 +117,15 @@ def is_overlap_free(
     n, words = code.n, code.words
     if not 1 <= t1 <= t2 <= n - 1:
         raise DomainError(f"need 1 <= t1 <= t2 <= n-1, got t1={t1}, t2={t2}, n={n}")
-    # Size-t overlaps depend only on the words' t-bit heads and tails. Up to
-    # width `base` (at most 2^base <= len/16 of each) these are cut from the
-    # base-width heads and tails; wider ones come straight from the words.
-    base = min(t2, len(words).bit_length() - 5)
-    if base >= t1:
-        wide = (base, set(map((n - base).__rrshift__, words)),
-                set(map(((1 << base) - 1).__and__, words)))
-    for t in range(t1, t2 + 1):
-        width, heads, tails = wide if t <= base else (n, words, words)
-        mask, shift = (1 << t) - 1, n - t
-        t_tails = set(map(mask.__and__, tails))
-        hits = t_tails.intersection(map((width - t).__rrshift__, heads))
-        if hits:
-            # words are sorted by head: u is the first word with the least hit
-            hit = min(hits)
-            u = words[bisect_left(words, hit << shift)]
-            v = next(v for v in words if v & mask == hit)
-            return False, OverlapWitness(BitWord(n, u), BitWord(n, v), t)
-    return True, None
+    clash = _first_clash(n, words, words, t1, t2)
+    if clash is None:
+        return True, None
+    # words are sorted by head: u is the first word with the least hit
+    t, hit = clash
+    mask = (1 << t) - 1
+    u = words[bisect_left(words, hit << (n - t))]
+    v = next(v for v in words if v & mask == hit)
+    return False, OverlapWitness(BitWord(n, u), BitWord(n, v), t)
 
 
 @dataclass(frozen=True)
@@ -145,13 +158,10 @@ def validate_system(
 
     On failure, returns the smallest t and the smallest colliding t-word.
     """
-    k = sys.k
-    for t in range(1, k + 1):
-        tails = set(map(((1 << t) - 1).__and__, sys.suffixes))
-        clash = tails.intersection(map((k - t).__rrshift__, sys.prefixes))
-        if clash:
-            return False, (t, BitWord(t, min(clash)))
-    return True, None
+    clash = _first_clash(sys.k, sys.prefixes, sys.suffixes, 1, sys.k)
+    if clash is None:
+        return True, None
+    return False, (clash[0], BitWord(*clash))
 
 
 def symbolic_size(sys: PrefixSuffixSystem):
@@ -370,5 +380,5 @@ def brute_force_max_code(
     middles = range(1 << max(0, n - 2 * t2))
     return len(middles) * count, Code(n, [
         head << (n - t2) | m << t2 | tail
-        for i, (head, tail) in enumerate(sigs) if chosen >> i & 1 for m in middles
+        for head, tail in map(sigs.__getitem__, set_bits(chosen)) for m in middles
     ])

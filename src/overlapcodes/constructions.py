@@ -12,7 +12,6 @@ The first two return explicit systems; the last two are symbolic first,
 with explicit sets/codes on request under capacity caps.
 """
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -20,6 +19,7 @@ from typing import Optional
 from .codes import EXPANSION_CAP, Code, PrefixSuffixSystem
 from .counting import SymbolicSize, fib_nstep
 from .errors import CapacityError, DomainError
+from .words import set_bits
 
 DOUBLING_MAX_K = 23
 MMIN_MAX_K = 20
@@ -65,11 +65,6 @@ def _spread(mask: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _set_bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
-
-
 def doubling(
     k_max: int,
     keep_sets: bool = True,
@@ -99,7 +94,7 @@ def doubling(
     for k in range(2, k_max + 1):
         p = _spread(p)
         s |= s << (1 << (k - 1))
-        dups = _set_bits(p & s)
+        dups = set_bits(p & s)
         p_size, s_size = p.bit_count(), s.bit_count()
         nbytes = 1 << max(0, k - 3)  # room for the bits of every k-bit word
         drop_p, drop_s = bytearray(nbytes), bytearray(nbytes)
@@ -117,7 +112,7 @@ def doubling(
         s &= ~int.from_bytes(drop_s, "little")
         if (p.bit_count(), s.bit_count()) != (p_size, s_size):
             raise AssertionError("doubling sizes disagree with the bitsets")
-        system = PrefixSuffixSystem(k, _set_bits(p), _set_bits(s)) if keep_sets else None
+        system = PrefixSuffixSystem(k, set_bits(p), set_bits(s)) if keep_sets else None
         steps.append(DoublingStep(k, p_size, s_size, tuple(dups), system))
     return steps
 
@@ -161,16 +156,12 @@ def m_minimum(k: int) -> MMinResult:
         raise CapacityError(f"m-minimum scan capped at 2 <= k <= {MMIN_MAX_K}")
     deaths = _survivor_death_values(k)
     top = 1 << (k - 1)
-    hist = [0] * (top + 1)
-    tail = 0  # suffixes dying at m > top, or never
+    hist = [0] * (top + 1)  # hist[m]: suffixes dying at m, for m <= top
     for d in deaths:
-        if d > top:
-            tail += 1
-        else:
+        if d <= top:
             hist[d] += 1
-    alive = sum(hist) + tail - hist[0]
-    best_m, best_prod, best_alive = 1, 1 * alive, alive
-    cnt = alive
+    cnt = len(deaths) - hist[0]
+    best_m, best_prod, best_alive = 1, cnt, cnt
     for m in range(2, top + 1):
         cnt -= hist[m - 1]
         prod = m * cnt

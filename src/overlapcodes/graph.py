@@ -20,7 +20,7 @@ from .codes import PrefixSuffixSystem, validate_system
 from .counting import SymbolicSize
 from .errors import CapacityError, DomainError
 from .search import NODE_BUDGET
-from .words import BitWord, int_overlap
+from .words import BitWord, int_overlap, set_bits
 
 GRAPH_MAX_K = 16
 
@@ -108,7 +108,7 @@ def _run_search(
         raise DomainError(f"need a node budget >= 1, got {node_budget}")
     k, rows = g.k, g.rows
     candidates = list(range(1 << (k - 1)))  # words starting 0
-    universe = sum(1 << s for s in range(1, 1 << k, 2))  # words ending 1
+    universe = int("10" * (1 << (k - 1)), 2)  # bits 1, 3, 5, ...: words ending 1
     target, xs, ymask, finished = search.two_sided_search(
         rows, objective, candidates, universe, node_budget=node_budget
     )
@@ -123,8 +123,7 @@ def _run_search(
         if best_with(xs, []) != target:
             raise AssertionError("canonical refinement lost the optimum")
         ymask = _compatible(rows, xs, universe)
-    ys = [s for s in range(1 << k) if ymask >> s & 1]
-    return _result(k, xs, ys, optimal=finished)
+    return _result(k, xs, set_bits(ymask), optimal=finished)
 
 
 def _compatible(rows, xs, ymask):
@@ -192,18 +191,14 @@ def mis_matching_certificate(k: int) -> MatchingCertificate:
         raise DomainError(f"need k >= 2, got k={k}")
     if k > GRAPH_MAX_K:
         raise CapacityError(f"certificate covers 2 <= k <= {GRAPH_MAX_K}")
-    pairs: list[tuple[int, int, int]] = []  # (prefix, suffix, overlap size)
-    # identity part: p starts 0 and ends 1, matched with its own suffix vertex
-    for p in range(1 << (k - 1)):
-        if p & 1:
-            pairs.append((p, p, k))
+    # (prefix, suffix, overlap size); identity part: p starts 0 and ends 1,
+    # matched with its own suffix vertex
+    pairs = [(p, p, k) for p in range(1, 1 << (k - 1), 2)]
     # swap part: p = v || 1 || 0^m (v starting 0, m >= 1 trailing zeros)
     # pairs with s = 1^m || v || 1. The edge is the full shared block v || 1
     # (overlap size k - m), and (m, v) is recoverable from s because the
     # leading 1-run of s has length exactly m, so the map is injective.
-    for p in range(1 << (k - 1)):
-        if p & 1 or p == 0:
-            continue
+    for p in range(2, 1 << (k - 1), 2):
         m = (p & -p).bit_length() - 1
         v = p >> (m + 1)
         s = (((1 << m) - 1) << (k - m)) | (v << 1) | 1
@@ -218,8 +213,7 @@ def mis_matching_certificate(k: int) -> MatchingCertificate:
     if len(pairs) != (1 << (k - 1)) - 1:
         raise AssertionError("certificate matching has the wrong size")
 
-    ys = [s for s in range(1 << k) if s & 1]
-    extremal = _result(k, [0], ys, optimal=True)
+    extremal = _result(k, [0], range(1, 1 << k, 2), optimal=True)
     return MatchingCertificate(
         k=k,
         matching=tuple(

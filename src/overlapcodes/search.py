@@ -17,6 +17,8 @@ dropped set is never branched on again, so it need not be closed under the
 group.
 """
 
+from .words import set_bits
+
 # Search nodes before the two-sided search gives up. Every reduced search up
 # to k = 8 finishes well inside it (k = 8 product takes 6.1e5 nodes); a k = 9
 # product search stops after about a minute (about 11 us a node under
@@ -92,9 +94,9 @@ def max_independent_set_size(adj: list[int], live: int, symmetries=()) -> int:
     image of v under a symmetry is too (the symmetry's inverse maps it to
     one through v); those images leave the root's candidates with v.
     """
-    verts = sorted(_bits(live), key=lambda v: (adj[v] & live).bit_count())
+    verts = sorted(set_bits(live), key=lambda v: (adj[v] & live).bit_count())
     index = {v: 1 << i for i, v in enumerate(verts)}
-    nbr = [sum(index[u] for u in _bits(adj[v] & live)) for v in verts]
+    nbr = [sum(index[u] for u in set_bits(adj[v] & live)) for v in verts]
     best = 0
 
     def expand(cand: int, size: int, symmetries=()):
@@ -191,14 +193,6 @@ def first_max_independent_set(
 
     dfs(live, 0, 0)
     return best, best_mask
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def lex_refine(candidates, target, best_with):

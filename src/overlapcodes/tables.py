@@ -22,18 +22,14 @@ TABLE_IDS = ("I", "II", "III", "IV", "V")
 TABLE_RANGES = {"I": (2, 23), "II": (1, 6), "III": (2, 14), "IV": (2, 14), "V": (2, 14)}
 
 
-def _load_golden():
-    path = resources.files("overlapcodes").joinpath("data/golden_tables.json")
-    return json.loads(path.read_text())
-
-
 _golden_cache = None
 
 
 def golden_tables() -> dict:
     global _golden_cache
     if _golden_cache is None:
-        _golden_cache = _load_golden()
+        path = resources.files("overlapcodes").joinpath("data/golden_tables.json")
+        _golden_cache = json.loads(path.read_text())
     return _golden_cache
 
 
@@ -76,10 +72,6 @@ class TableReport:
         return [c.name for c in self.rows[0].cells] if self.rows else []
 
 
-def _row(k, cells):
-    return Row(k, tuple(Cell(n, str(g), str(e)) for n, g, e in cells))
-
-
 def reproduce_table(table_id: str, kmin: int = None, kmax: int = None) -> TableReport:
     if table_id not in TABLE_IDS:
         raise DomainError(f"table id must be one of {TABLE_IDS}")
@@ -90,65 +82,49 @@ def reproduce_table(table_id: str, kmin: int = None, kmax: int = None) -> TableR
         raise DomainError(
             f"table {table_id} covers {lo}..{hi}, got {kmin}..{kmax}"
         )
-    golden = golden_tables()
-    rows = []
-
-    if table_id == "I":
+    golden = golden_tables()[f"table_{table_id.lower()}"]
+    if table_id in ("I", "V"):
         steps = {s.k: s for s in doubling(kmax, keep_sets=False)}
-        for k in range(kmin, kmax + 1):
-            g = golden["table_i"][str(k)]
+    rows = []
+    for k in range(kmin, kmax + 1):
+        g = golden[str(k)]
+        if table_id == "I":
             got_sizes = sorted((steps[k].p_size, steps[k].s_size), reverse=True)
             exp_sizes = sorted((g["p"], g["s"]), reverse=True)
-            rows.append(_row(k, [
+            cells = [
                 ("sizes", "x".join(map(str, got_sizes)), "x".join(map(str, exp_sizes))),
                 ("product", steps[k].product, g["product"]),
-            ]))
-
-    elif table_id == "II":
-        for k in range(kmin, kmax + 1):
-            g = golden["table_ii"][str(k)]
+            ]
+        elif table_id == "II":
             res = max_product_search(build_overlap_graph(k))
-            got = res.code_size()
-            exp = SymbolicSize(g["coefficient"], g["offset"])
-            rows.append(_row(k, [
+            cells = [
                 ("independent_set", res.cardinality, g["independent"]),
-                ("code_size", got, exp),
-            ]))
-
-    elif table_id == "III":
-        for k in range(kmin, kmax + 1):
-            g = golden["table_iii"][str(k)]
+                ("code_size", res.code_size(), SymbolicSize(g["coefficient"], g["offset"])),
+            ]
+        elif table_id == "III":
             res = m_minimum(k)
-            rows.append(_row(k, [
+            cells = [
                 ("p_size", res.m, g["p"]),
                 ("s_size", len(res.system.suffixes), g["s"]),
                 ("coefficient", res.size.coefficient, g["coefficient"]),
-            ]))
-
-    elif table_id == "IV":
-        for k in range(kmin, kmax + 1):
-            g = golden["table_iv"][str(k)]
-            mm = m_minimum(k)
+            ]
+        elif table_id == "IV":
             zb = zero_block(k)
-            rows.append(_row(k, [
-                ("mmin", mm.size.coefficient, g["mmin"]),
+            cells = [
+                ("mmin", m_minimum(k).size.coefficient, g["mmin"]),
                 ("zero_block", zb.size.coefficient, g["zero_block"]),
                 ("z", zb.z, g["z"]),
-            ]))
-
-    else:  # V
-        steps = {s.k: s for s in doubling(kmax, keep_sets=False)}
-        for k in range(kmin, kmax + 1):
-            g = golden["table_v"][str(k)]
+            ]
+        else:  # V
             if k <= 6:
-                upper = str(max_product_search(build_overlap_graph(k)).product)
+                upper = max_product_search(build_overlap_graph(k)).product
             else:
                 upper = render_decimal(upper_bound_1k(2 * k, k), 1)
-            rows.append(_row(k, [
+            cells = [
                 ("doubling", steps[k].product, g["doubling"]),
                 ("mmin", m_minimum(k).size.coefficient, g["mmin"]),
                 ("zero_block", zero_block(k).size.coefficient, g["zero_block"]),
                 ("upper", upper, g["upper"]),
-            ]))
-
+            ]
+        rows.append(Row(k, tuple(Cell(name, str(got), str(exp)) for name, got, exp in cells)))
     return TableReport(table_id, tuple(rows))

@@ -7,6 +7,7 @@ suffix, and overlap test is a couple of shifts and masks on one machine
 word. Everything here is a pure function on immutable values.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
@@ -29,6 +30,12 @@ def int_overlap(u: int, v: int, n: int, t: int) -> bool:
 
 def int_to_bits(value: int, n: int) -> str:
     return format(value, f"0{n}b")
+
+
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending, in time linear in the
+    mask's length; a word set held as a mask has bit w set iff w is in it."""
+    return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,8 +19,10 @@ from overlapcodes import (
     is_overlap_free,
     read_code,
     t_overlap,
+    validate_system,
     write_code,
 )
+from overlapcodes.words import int_overlap
 
 MAX_N = 12
 
@@ -117,6 +119,45 @@ def test_overlap_free_on_expanded_systems(k, mid, valid, data):
     t1 = data.draw(st.integers(1, min(3, n - 1)))
     t2 = data.draw(st.integers(t1, max(t1, k) if valid else n - 1))
     check_against_definition(code, t1, t2)
+
+
+def least_clash(system):
+    """The least t, then the least t-word, that is the t-prefix of a word of
+    P and the t-suffix of one of S, pair by pair; None if there is none."""
+    k = system.k
+    for t in range(1, k + 1):
+        hits = [p >> (k - t) for p in system.prefixes for s in system.suffixes
+                if int_overlap(p, s, k, t)]
+        if hits:
+            return t, BitWord(t, min(hits))
+    return None
+
+
+@st.composite
+def wide_systems(draw):
+    """Systems of width 6..9 with at least 32 words a side, so that the
+    clash scan cuts the heads and tails of size 1 from wider ones. P starts
+    0 and S ends 1, bar up to one stray word a side. At widths 8 and 9 half
+    the draws lie in a zero-block system, valid unless a stray word breaks
+    it; the other half clash at some size."""
+    k = draw(st.integers(6, 9))
+    pools = range(1 << (k - 1)), range(1, 1 << k, 2)
+    if k >= 8 and draw(st.booleans()):
+        z = draw(st.integers(2, 3))
+        pools = range(1 << (k - z)), [s for s in pools[1] if "0" * z not in f"{s:0{k}b}"]
+    sides = []
+    for pool in pools:
+        drop = draw(st.sets(st.sampled_from(pool), max_size=len(pool) - 32))
+        stray = draw(st.sets(st.integers(0, (1 << k) - 1), max_size=1))
+        sides.append(set(pool) - drop | stray)
+    return PrefixSuffixSystem(k, *sides)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_systems())
+def test_validate_system_matches_pairwise_definition(system):
+    clash = least_clash(system)
+    assert validate_system(system) == (clash is None, clash)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapcodes import (
     BitWord,
@@ -9,6 +13,7 @@ from overlapcodes import (
     suffix,
     t_overlap,
 )
+from overlapcodes.words import set_bits
 from oracles import cyclic_shift
 
 
@@ -131,3 +136,24 @@ def test_cyclic_shift_composes():
                     assert cyclic_shift(cyclic_shift(w, i), j) == cyclic_shift(
                         w, (i + j) % n
                     )
+
+
+# dense masks of up to 4096 bits, and sparse ones given by their set bits
+masks = st.one_of(
+    st.integers(0, 4096).flatmap(lambda n: st.integers(0, (1 << n) - 1)),
+    st.sets(st.integers(0, 4095)).map(lambda bits: sum(1 << i for i in bits)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks)
+def test_set_bits_matches_bitwise_listing(mask):
+    assert set_bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_set_bits_on_a_million_bit_mask():
+    # a lister quadratic in the mask's length takes seconds here, not ms
+    mask = random.Random(20).getrandbits(1 << 20) | 1 << (1 << 20)
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    expected = [8 * j + b for j, byte in enumerate(raw) for b in range(8) if byte >> b & 1]
+    assert set_bits(mask) == expected
