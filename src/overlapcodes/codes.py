@@ -335,9 +335,8 @@ def brute_force_max_code(
     sigs = sorted({(w >> (n - t2), w & ((1 << t2) - 1)) for w in range(1 << n)})
     sigs = [(head, tail) for head, tail in sigs
             if not any(int_overlap(head, tail, t2, t) for t in range(t1, t2 + 1))]
-    nc = len(sigs)
     adj = _conflict_rows(sigs, t1, t2)
-    live = (1 << nc) - 1
+    live = (1 << len(sigs)) - 1
     # the optimum's class count, where it is cheap to know, stops the
     # first-optimum search there. With t1 == t2 = t <= n/2 the t-heads and
     # t-tails of a code are disjoint, so at most 2^(2t-2) classes fit (heads
@@ -358,21 +357,18 @@ def brute_force_max_code(
         # classes are disjoint, every optimum uses whole classes and all
         # optima hold the same number of words, so deciding classes in order
         # of their smallest member gives the least sorted word list; sorted
-        # (head, tail) signatures are already in that order
-
-        def best_with(kept, rest):
-            taken = sum(1 << i for i in kept)
-            live = sum(1 << j for j in rest)
-            for i in kept:
-                if adj[i] & taken:
-                    return -1
-                live &= ~adj[i]
-            return len(kept) + search.max_independent_set_size(adj, live)
-
-        kept = search.lex_refine(list(range(nc)), count, best_with)
-        if len(kept) != count:
+        # (head, tail) signatures are already in that order. The lowest
+        # undecided class is kept iff the later ones it leaves live still
+        # hold need - 1 more, and the sub-search stops once it finds them
+        chosen, rest, need = 0, live, count
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            after = rest & ~adj[low.bit_length() - 1]
+            if search.max_independent_set_size(adj, after, target=need - 1) >= need - 1:
+                chosen, rest, need = chosen | low, after, need - 1
+        if need:
             raise AssertionError("canonical refinement lost the optimum")
-        chosen = sum(1 << i for i in kept)
 
     # a class is the words head || m || tail for every middle m of n - 2*t2
     # bits; when n < 2*t2, head and tail agree where they overlap and fix

@@ -113,24 +113,18 @@ def _run_search(
         rows, objective, candidates, universe, node_budget=node_budget
     )
     if canonical and finished:
-
-        def best_with(kept, rest):
-            return search.two_sided_search(
-                rows, objective, rest, _compatible(rows, kept, universe), len(kept)
-            )[0]
-
-        xs = search.lex_refine(candidates, target, best_with)
-        if best_with(xs, []) != target:
+        # decide the prefixes in order (candidates[p] is p), keeping one iff
+        # the undecided ones after it and the suffixes it leaves still reach
+        # the optimum; each sub-search stops once it does
+        xs, ymask = [], universe
+        for p in candidates:
+            trial = ymask & ~rows[p]
+            if search.two_sided_search(rows, objective, candidates[p + 1:], trial,
+                                       len(xs) + 1, target=target)[0] >= target:
+                xs, ymask = xs + [p], trial
+        if search.two_sided_search(rows, objective, [], ymask, len(xs))[0] != target:
             raise AssertionError("canonical refinement lost the optimum")
-        ymask = _compatible(rows, xs, universe)
     return _result(k, xs, set_bits(ymask), optimal=finished)
-
-
-def _compatible(rows, xs, ymask):
-    """The suffixes in ymask adjacent to no prefix in xs."""
-    for p in xs:
-        ymask &= ~rows[p]
-    return ymask
 
 
 def max_product_search(

@@ -1,11 +1,13 @@
-"""Exact branch-and-bound searches and the canonical refinement they share.
+"""Exact branch-and-bound searches on graphs given as bitmask neighbour rows.
 
-The engines work on graphs given as bitmask neighbour rows. The two-sided
-search runs on the bipartite prefix/suffix graph. Two independent-set
-searches run on the oracle's signature-class graph: a colour-ordered one
-that proves the optimum's size, and a max-degree one that returns the first
-optimum in its own order and can stop as soon as it reaches a size proven
-by the other. `lex_refine` turns an optimum into a canonical one.
+The two-sided search runs on the bipartite prefix/suffix graph. Two
+independent-set searches run on the oracle's signature-class graph: a
+colour-ordered one that proves the optimum's size, and a max-degree one that
+returns the first optimum in its own order. Each search takes a target and
+returns as soon as its incumbent reaches it, which cuts the proof and
+nothing else: the first-optimum search stops at a size proven by the other,
+and the canonical refinements (in the callers) ask each sub-search only
+whether an optimum still extends the candidate on trial.
 
 The colour-ordered search can prune its root by automorphisms of the graph.
 Once the root branch on v has finished, no independent set through v beats
@@ -27,7 +29,7 @@ NODE_BUDGET = 5_000_000
 
 
 def two_sided_search(rows, objective, candidates, ymask, xcount=0,
-                     node_budget=None):
+                     node_budget=None, target=None):
     """Maximize (objective, the other objective) lexicographically over
     pairs (X, Y): X the xcount preset prefixes plus a subset of the
     candidates, Y the suffixes in ymask compatible with every prefix in X.
@@ -36,9 +38,10 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
     already exclude the neighbours of the preset prefixes. Returns (best
     value pair, chosen candidates, y mask, finished); finished is False when
     node_budget search nodes ran out, and the result is then the best found
-    so far. The suffix side is forced maximal, which never hurts either
-    objective; candidates whose live neighbourhoods are empty are pulled in
-    for the same reason.
+    so far. Given target, a value pair, the search returns as soon as its
+    best reaches it. The suffix side is forced maximal, which never hurts
+    either objective; candidates whose live neighbourhoods are empty are
+    pulled in for the same reason.
     """
     nbr = [rows[p] & ymask for p in candidates]
     m = len(candidates)
@@ -46,6 +49,7 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
     nbr = [nbr[i] for i in order]
     product_first = objective == "product"
     left = float("inf") if node_budget is None else node_budget
+    stop = (float("inf"),) if target is None else target
 
     best = [(0, 0), [], 0]
 
@@ -67,6 +71,8 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
         if value(xcount + m - i, yc) <= best[0]:
             return
         for j in range(i, m):
+            if best[0] >= stop:
+                return
             live = nbr[j] & ymask
             if not live:
                 continue
@@ -78,8 +84,11 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
     return best[0], xs, best[2], left >= 0
 
 
-def max_independent_set_size(adj: list[int], live: int, symmetries=()) -> int:
-    """Size of a largest independent set among the live vertices.
+def max_independent_set_size(
+    adj: list[int], live: int, symmetries=(), target: int | None = None
+) -> int:
+    """Size of a largest independent set among the live vertices, or, given
+    target, the first size found that reaches it.
 
     Colour-ordered branch and bound on bitmasks (MCQ of Tomita and Seki,
     DMTCS 2003, run on the complement graph). The live vertices are
@@ -98,6 +107,7 @@ def max_independent_set_size(adj: list[int], live: int, symmetries=()) -> int:
     index = {v: 1 << i for i, v in enumerate(verts)}
     nbr = [sum(index[u] for u in set_bits(adj[v] & live)) for v in verts]
     best = 0
+    stop = float("inf") if target is None else target
 
     def expand(cand: int, size: int, symmetries=()):
         nonlocal best
@@ -117,7 +127,7 @@ def max_independent_set_size(adj: list[int], live: int, symmetries=()) -> int:
                     order.append(low)
                     cover.append(k)
         for i in range(len(order) - 1, -1, -1):
-            if size + cover[i] <= best:
+            if size + cover[i] <= best or best >= stop:
                 return
             low = order[i]
             if not cand & low:
@@ -193,21 +203,3 @@ def first_max_independent_set(
 
     dfs(live, 0, 0)
     return best, best_mask
-
-
-def lex_refine(candidates, target, best_with):
-    """Greedy refinement of an optimum into the canonical one.
-
-    Decides the candidates in the given order and keeps one iff an optimum
-    still extends the choices so far with it included: best_with(kept,
-    rest) returns the best value over solutions that hold every kept
-    candidate (the one on trial last), none of the dropped ones and any of
-    rest, the undecided candidates after it. The kept list is then the
-    least among those of the optima, compared in candidate order with
-    absent entries sorting last.
-    """
-    kept = []
-    for pos, cand in enumerate(candidates):
-        if best_with(kept + [cand], candidates[pos + 1:]) >= target:
-            kept.append(cand)
-    return kept

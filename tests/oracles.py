@@ -106,3 +106,41 @@ def max_independent_set_brute(adj: list[int], live: int) -> int:
         return memo[mask]
 
     return best(live)
+
+
+def clique_cover_size(adj: list[int], live: int) -> int:
+    """Cliques in a greedy cover of the live vertices, lowest vertex first:
+    no independent set among them is larger."""
+    count = 0
+    while live:
+        clique = live & -live
+        cand = live & adj[clique.bit_length() - 1]
+        while cand:
+            low = cand & -cand
+            clique |= low
+            cand &= adj[low.bit_length() - 1]
+        live &= ~clique
+        count += 1
+    return count
+
+
+def first_independent_set(adj: list[int], live: int, size: int) -> int | None:
+    """The first independent set of the given size among the live vertices,
+    as a bitmask, or None: the lowest live vertex is taken before it is left
+    out, so with size the optimum this is the least optimum compared vertex
+    by vertex, an absent vertex sorting after every present one. A branch
+    stops once a clique cover of what is left holds fewer cliques than the
+    vertices still needed."""
+
+    def extend(live: int, chosen: int, need: int) -> int | None:
+        if not need:
+            return chosen
+        while clique_cover_size(adj, live) >= need:
+            low = live & -live
+            live ^= low
+            found = extend(live & ~adj[low.bit_length() - 1], chosen | low, need - 1)
+            if found is not None:
+                return found
+        return None
+
+    return extend(live, 0, size)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -10,17 +11,23 @@ from overlapcodes import (
     PrefixSuffixSystem,
     brute_force_max_code,
     codes,
+    doubling,
     expand_system,
+    gilbert_levenshtein,
     is_overlap_free,
+    m_minimum,
     read_code,
     search,
     symbolic_size,
     upper_bound_1k,
+    upper_bound_graph,
     upper_bound_weak,
     validate_system,
     write_code,
+    zero_block,
 )
 from overlapcodes.words import int_overlap
+from oracles import first_independent_set
 
 
 def syst(k, p, s):
@@ -197,6 +204,45 @@ def test_oracle_never_beats_counting_bounds():
             assert size <= upper_bound_1k(n, t2, 2)
 
 
+def test_oracle_optima_lie_between_the_bounds_and_the_constructions():
+    # every n <= 6 triple and every n = 7 triple with t1 < t2
+    sizes = {(n, t1, t2): brute_force_max_code(n, t1, t2)[0]
+             for n in range(2, 8) for t1 in range(1, n)
+             for t2 in range(t1 + (n == 7), n)}
+    for (n, t1, t2), size in sizes.items():
+        where = (n, t1, t2)
+        if t2 == n - 1 and 2 * t1 <= n:  # past that, see the next test
+            assert size <= upper_bound_weak(n, t1), where
+        if t1 == 1 and t2 >= 2 and n >= t2 + 2:
+            assert size <= upper_bound_graph(n, t2), where
+        if t1 == 1 and 2 * t2 <= n:
+            assert size <= upper_bound_1k(n, t2), where
+            # the width-t2 systems, expanded to length n
+            built = [doubling(t2, keep_sets=False)[-1].product << (n - 2 * t2)]
+            if t2 >= 2:
+                built += [m_minimum(t2).size.value_at(n), zero_block(t2).size.value_at(n)]
+            assert size >= max(built), where
+        if (t1, t2) == (1, n - 1) and n >= 3:
+            assert size >= gilbert_levenshtein(n).size, where
+        # banning more overlap sizes never lets a code grow
+        for (m, s1, s2), wider in sizes.items():
+            if m == n and s1 <= t1 and t2 <= s2:
+                assert wider <= size, (where, (s1, s2))
+
+
+def test_weak_bound_is_exceeded_past_half_the_length():
+    # A known divergence, kept visible: q^n / (2n - 2k + 1) is below the
+    # optimum once 2k > n. This 6-word code has no 3-overlap, yet the bound
+    # at n = 4, k = 3 is 16/3; the optima below (those with n <= 6 matched
+    # by the integer program) exceed it too
+    code = Code.from_strings(["0001", "0100", "0101", "0111", "1100", "1101"])
+    assert is_overlap_free(code, 3, 3)[0]
+    assert len(code) > upper_bound_weak(4, 3) == Fraction(16, 3)
+    for (n, t1, t2), size in [((5, 4, 4), 12), ((6, 4, 5), 14), ((6, 5, 5), 27),
+                              ((7, 5, 6), 31)]:
+        assert brute_force_max_code(n, t1, t2)[0] == size > upper_bound_weak(n, t1)
+
+
 def test_oracle_conflict_rows_match_pairwise_definition():
     # every signature of width t2, self-conflicting ones included
     for n in range(2, 8):
@@ -339,3 +385,18 @@ def test_oracle_canonical_keeps_optimum():
     size, code = brute_force_max_code(7, 1, 3, canonical=True)
     assert size == plain == 12
     assert is_overlap_free(code, 1, 3)[0]
+
+
+def test_oracle_canonical_is_the_first_optimum_in_class_order():
+    # an include-first search over the classes, in order, finds the least
+    # optimum outright; the canonical refinement must land on the same one
+    for n, t1, t2 in [(8, 4, 4), (9, 4, 4), (10, 4, 4), (8, 3, 4), (9, 1, 8)]:
+        size, code = brute_force_max_code(n, t1, t2, canonical=True)
+        sigs = kept_signatures(n, t1, t2)
+        adj = codes._conflict_rows(sigs, t1, t2)
+        free = max(0, n - 2 * t2)  # middle bits of each class
+        chosen = first_independent_set(adj, (1 << len(sigs)) - 1, size >> free)
+        want = sorted(head << (n - t2) | m << t2 | tail
+                      for i, (head, tail) in enumerate(sigs) if chosen >> i & 1
+                      for m in range(1 << free))
+        assert list(code.words) == want, (n, t1, t2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from overlapcodes import (
     CapacityError,
+    Code,
     DomainError,
     SymbolicSize,
     classic_bounds,
@@ -15,13 +16,14 @@ from overlapcodes import (
     count_cyclic_spaced_ones,
     count_no_zero_run,
     fib_nstep,
+    gilbert_levenshtein,
     lower_bound_explicit,
     render_decimal,
     upper_bound_1k,
     upper_bound_graph,
     upper_bound_weak,
 )
-from overlapcodes.constructions import zero_block
+from overlapcodes.constructions import gl_words, zero_block
 from overlapcodes.counting import CLASSIC_MAX_N, FIB_MAX_INDEX
 from oracles import (
     count_cyclic_run_free_brute,
@@ -281,3 +283,24 @@ def test_render_decimal():
     assert render_decimal(Fraction(25, 1000), 2) == "0.03"
     assert render_decimal(Fraction(-3, 2), 0) == "-2"  # half-up on magnitude
     assert render_decimal(Fraction(1024, 15), 3) == "68.267"
+
+
+@pytest.mark.parametrize("error, call", [
+    pytest.param(DomainError, lambda: Code.from_strings([]), id="empty-code"),
+    # 7,555,935 words: refused before any is listed
+    pytest.param(CapacityError, lambda: gilbert_levenshtein(30, emit_code=True),
+                 id="gl-code-past-cap"),
+    pytest.param(DomainError, lambda: gl_words(8, 0), id="gl-words-z0"),
+    pytest.param(DomainError, lambda: count_no_zero_run(0, 2), id="no-zero-run-length0"),
+    pytest.param(DomainError, lambda: count_cyclic_run_free(1), id="run-free-a1"),
+    pytest.param(DomainError, lambda: SymbolicSize(-1, 4), id="negative-size"),
+    pytest.param(DomainError, lambda: upper_bound_1k(8, 2, q=1), id="bound-1k-q1"),
+    pytest.param(DomainError, lambda: upper_bound_graph(5, 4), id="bound-graph-short"),
+    pytest.param(DomainError, lambda: lower_bound_explicit(1, "gen1"), id="lower-k1"),
+    pytest.param(DomainError, lambda: classic_bounds(2), id="classic-n2"),
+    pytest.param(DomainError, lambda: render_decimal(Fraction(1, 3), -1),
+                 id="negative-places"),
+])
+def test_input_checks_raise_their_documented_errors(error, call):
+    with pytest.raises(error):
+        call()

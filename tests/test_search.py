@@ -1,12 +1,22 @@
-"""Property tests: the independent-set searches on random graphs."""
+"""The exact searches: properties on random graphs, and the pinned outputs
+of the canonical refinements built on them."""
 
+import hashlib
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overlapcodes import (
+    brute_force_max_code,
+    build_overlap_graph,
+    max_cardinality_search,
+    max_product_search,
+)
 from overlapcodes.search import first_max_independent_set, max_independent_set_size
-from oracles import max_independent_set_brute
+from overlapcodes.words import set_bits
+from oracles import first_independent_set, max_independent_set_brute
 
 
 @st.composite
@@ -88,3 +98,47 @@ def test_root_symmetry_pruning_keeps_the_optimum(graph):
         assert adj[pi[u]] == sum(1 << pi[v] for v in range(len(adj)) if row >> v & 1)
     want = max_independent_set_brute(adj, live)
     assert max_independent_set_size(adj, live, [pi.__getitem__]) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(0, 12))
+def test_colour_ordered_search_stops_at_the_target(graph, target):
+    adj, live = graph
+    want = max_independent_set_brute(adj, live)
+    got = max_independent_set_size(adj, live, target=target)
+    # the size of an independent set it found, and the optimum if that is short
+    assert target <= got <= want if target <= want else got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_include_first_reference_is_the_least_optimum(graph):
+    adj, live = graph
+    live &= (1 << 14) - 1  # few enough vertices to list every subset
+    size = max_independent_set_brute(adj, live)
+    least = next(sum(1 << v for v in c) for c in combinations(set_bits(live), size)
+                 if is_independent(adj, sum(1 << v for v in c)))
+    assert first_independent_set(adj, live, size) == least
+    assert first_independent_set(adj, live, size + 1) is None
+
+
+def test_canonical_outputs_are_pinned():
+    # the least optimum of each canonical refinement, oracle and graph; the
+    # digest was taken before the refinements stopped their sub-searches at
+    # the value still needed
+    triples = [(n, t1, t2) for n in range(2, 7) for t1 in range(1, n) for t2 in range(t1, n)]
+    triples += [(7, t1, t2) for t1 in range(1, 7) for t2 in range(t1 + 1, 7)]
+    triples += [(8, 2, 7), (9, 1, 5), (9, 1, 8)]
+    h = hashlib.sha256()
+    for n, t1, t2 in triples:
+        code = brute_force_max_code(n, t1, t2, canonical=True)[1]
+        h.update(f"{n} {t1} {t2}: {code.words}\n".encode())
+    for k in range(1, 8):
+        g = build_overlap_graph(k)
+        for name, run in (("product", max_product_search),
+                          ("cardinality", max_cardinality_search)):
+            res = run(g, canonical=True)
+            xs = [w.value for w in res.prefix_words]
+            ys = [w.value for w in res.suffix_words]
+            h.update(f"{name} {k}: {xs} {ys}\n".encode())
+    assert h.hexdigest() == "270af2ffccc681ad0aa23d69b3a6a6465c8eb8678444e58a6a293498dc5af846"
