@@ -3,7 +3,9 @@
 The two-sided search runs on the bipartite prefix/suffix graph. Two
 independent-set searches run on the oracle's signature-class graph: a
 colour-ordered one that proves the optimum's size, and a max-degree one that
-returns the first optimum in its own order. Each search takes a target and
+returns the first optimum in its own order. Both bound a node by one greedy
+clique cover, `_clique_cover`: no independent set among the candidates holds
+more vertices than the cover has cliques. Each search takes a target and
 returns as soon as its incumbent reaches it, which cuts the proof and
 nothing else: the first-optimum search stops at a size proven by the other,
 and the canonical refinements (in the callers) ask each sub-search only
@@ -84,6 +86,31 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
     return best[0], xs, best[2], left >= 0
 
 
+def _clique_cover(nbr: list[int], cand: int, skip: int) -> tuple[list[int], list[int], int]:
+    """Greedy clique cover of the vertices in cand, so the number of cliques
+    bounds every independent set among them. Each clique grows from the
+    lowest vertex left, adding the lowest vertex adjacent to all it holds.
+    Rows must be loop-free: no vertex is in its own row.
+
+    Returns (order, cover, count): order holds, as single-bit masks, the
+    vertices of the cliques after the first skip, cover[i] is the number of
+    the clique holding order[i] (from 1), and count is the number of cliques.
+    """
+    order, cover = [], []
+    rest, count = cand, 0
+    while rest:
+        count += 1
+        clique = rest
+        while clique:
+            low = clique & -clique
+            rest ^= low
+            clique &= nbr[low.bit_length() - 1]
+            if count > skip:
+                order.append(low)
+                cover.append(count)
+    return order, cover, count
+
+
 def max_independent_set_size(
     adj: list[int], live: int, symmetries=(), target: int | None = None
 ) -> int:
@@ -111,21 +138,9 @@ def max_independent_set_size(
 
     def expand(cand: int, size: int, symmetries=()):
         nonlocal best
-        # order[i] lies in clique number cover[i] of the greedy cover; the
-        # first best - size cliques can never lead to a gain, so their
+        # the first best - size cliques can never lead to a gain, so their
         # vertices are not listed
-        order, cover = [], []
-        rest, k, skip = cand, 0, best - size
-        while rest:
-            k += 1
-            clique = rest
-            while clique:
-                low = clique & -clique
-                rest ^= low
-                clique &= nbr[low.bit_length() - 1]
-                if k > skip:
-                    order.append(low)
-                    cover.append(k)
+        order, cover, _ = _clique_cover(nbr, cand, best - size)
         for i in range(len(order) - 1, -1, -1):
             if size + cover[i] <= best or best >= stop:
                 return
@@ -152,29 +167,15 @@ def first_max_independent_set(
     search's order, as (size, chosen bitmask).
 
     Branch and bound on bitmasks: branch on the highest-degree live vertex
-    (the lowest index among equals), taking it first; bound by a greedy
-    clique cover. The incumbent changes only on a strict gain, so once it
-    reaches the optimum it is the answer: given target, the optimum's size,
-    the search returns at that point and skips the rest of the proof.
+    (the lowest index among equals), taking it first; bound by the greedy
+    clique cover of the size proof. The incumbent changes only on a strict
+    gain, so once it reaches the optimum it is the answer: given target, the
+    optimum's size, the search returns at that point and skips the rest of
+    the proof.
     """
     best = 0
     best_mask = 0
     stop = float("inf") if target is None else target
-
-    def cover_bound(mask: int) -> int:
-        bound = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            cand = rest & adj[v]
-            clique = 1 << v
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                clique |= 1 << u
-                cand &= adj[u]
-            rest &= ~clique
-            bound += 1
-        return bound
 
     def dfs(mask: int, acc: int, chosen: int):
         nonlocal best, best_mask
@@ -182,17 +183,12 @@ def first_max_independent_set(
             best, best_mask = acc, chosen
         if not mask or best >= stop:
             return
-        if acc + cover_bound(mask) <= best:
+        # a cover holds at most len(adj) cliques, so skipping as many lists
+        # no vertex: only the count is needed
+        if acc + _clique_cover(adj, mask, len(adj))[2] <= best:
             return
-        v, deg = -1, -1
-        mm = mask
-        while mm:
-            u = (mm & -mm).bit_length() - 1
-            d = (adj[u] & mask).bit_count()
-            if d > deg:
-                deg, v = d, u
-            mm &= mm - 1
-        if deg == 0:
+        v = max(set_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+        if not adj[v] & mask:
             # remaining vertices are pairwise compatible: take them all
             total = acc + mask.bit_count()
             if total > best:

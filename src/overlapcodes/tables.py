@@ -11,6 +11,7 @@ where the published decimal 9586080.6 disagrees with 2^28/28 = 9586980.57.
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .constructions import doubling, m_minimum, zero_block
@@ -22,15 +23,10 @@ TABLE_IDS = ("I", "II", "III", "IV", "V")
 TABLE_RANGES = {"I": (2, 23), "II": (1, 6), "III": (2, 14), "IV": (2, 14), "V": (2, 14)}
 
 
-_golden_cache = None
-
-
+@cache
 def golden_tables() -> dict:
-    global _golden_cache
-    if _golden_cache is None:
-        path = resources.files("overlapcodes").joinpath("data/golden_tables.json")
-        _golden_cache = json.loads(path.read_text())
-    return _golden_cache
+    path = resources.files("overlapcodes").joinpath("data/golden_tables.json")
+    return json.loads(path.read_text())
 
 
 @dataclass(frozen=True)

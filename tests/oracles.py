@@ -144,3 +144,24 @@ def first_independent_set(adj: list[int], live: int, size: int) -> int | None:
         return None
 
     return extend(live, 0, size)
+
+
+def max_degree_refinement(adj: list[int], live: int, size: int, holds=None) -> int:
+    """The first independent set of the given size, the optimum, in the
+    order of an include-first branch and bound on the live vertex with the
+    most live neighbours (the lowest among equals), as a bitmask. That
+    vertex is kept iff the vertices it leaves live still hold an independent
+    set of the size still needed, as holds(live, need) tells;
+    first_independent_set tells it by default."""
+    if holds is None:
+        def holds(rest: int, need: int) -> bool:
+            return first_independent_set(adj, rest, need) is not None
+    chosen = 0
+    while live:
+        v = max((u for u in range(live.bit_length()) if live >> u & 1),
+                key=lambda u: (adj[u] & live).bit_count())
+        live &= ~(1 << v)
+        after = live & ~adj[v]
+        if holds(after, size - 1):
+            chosen, live, size = chosen | 1 << v, after, size - 1
+    return chosen

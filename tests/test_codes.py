@@ -27,7 +27,7 @@ from overlapcodes import (
     zero_block,
 )
 from overlapcodes.words import int_overlap
-from oracles import first_independent_set
+from oracles import first_independent_set, max_degree_refinement
 
 
 def syst(k, p, s):
@@ -396,6 +396,26 @@ def test_oracle_canonical_is_the_first_optimum_in_class_order():
         adj = codes._conflict_rows(sigs, t1, t2)
         free = max(0, n - 2 * t2)  # middle bits of each class
         chosen = first_independent_set(adj, (1 << len(sigs)) - 1, size >> free)
+        want = sorted(head << (n - t2) | m << t2 | tail
+                      for i, (head, tail) in enumerate(sigs) if chosen >> i & 1
+                      for m in range(1 << free))
+        assert list(code.words) == want, (n, t1, t2)
+
+
+def test_oracle_plain_output_is_the_max_degree_refinement():
+    # an independent reference for which optimum the plain oracle prints:
+    # its first-optimum search branches on the class with the most live
+    # conflicts, taking it first, so it keeps a class iff an optimum still
+    # extends the choice
+    triples = [(n, t1, t2) for n in range(2, 7) for t1 in range(1, n) for t2 in range(t1, n)]
+    triples += [(7, t1, t2) for t1 in range(1, 7) for t2 in range(t1 + 1, 7)]
+    triples += [(8, 3, 7), (8, 4, 4), (9, 1, 8), (9, 2, 4), (9, 3, 8), (10, 1, 5)]
+    for n, t1, t2 in triples:
+        size, code = brute_force_max_code(n, t1, t2)
+        sigs = kept_signatures(n, t1, t2)
+        adj = codes._conflict_rows(sigs, t1, t2)
+        free = max(0, n - 2 * t2)  # middle bits of each class
+        chosen = max_degree_refinement(adj, (1 << len(sigs)) - 1, size >> free)
         want = sorted(head << (n - t2) | m << t2 | tail
                       for i, (head, tail) in enumerate(sigs) if chosen >> i & 1
                       for m in range(1 << free))

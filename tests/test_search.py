@@ -14,9 +14,18 @@ from overlapcodes import (
     max_cardinality_search,
     max_product_search,
 )
-from overlapcodes.search import first_max_independent_set, max_independent_set_size
+from overlapcodes.search import (
+    _clique_cover,
+    first_max_independent_set,
+    max_independent_set_size,
+)
 from overlapcodes.words import set_bits
-from oracles import first_independent_set, max_independent_set_brute
+from oracles import (
+    clique_cover_size,
+    first_independent_set,
+    max_degree_refinement,
+    max_independent_set_brute,
+)
 
 
 @st.composite
@@ -88,6 +97,30 @@ def test_first_optimum_is_unchanged_by_stopping_at_the_optimum(graph):
     assert size == mask.bit_count() == max_independent_set_brute(adj, live)
     assert mask & ~live == 0 and is_independent(adj, mask)
     assert first_max_independent_set(adj, live, size) == (size, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_first_optimum_is_the_max_degree_refinement(graph):
+    adj, live = graph
+    size, mask = first_max_independent_set(adj, live)
+    assert mask == max_degree_refinement(
+        adj, live, size, lambda rest, need: max_independent_set_brute(adj, rest) >= need)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(0, 12))
+def test_clique_cover_lists_its_cliques_after_the_skipped_ones(graph, skip):
+    adj, live = graph
+    order, cover, count = _clique_cover(adj, live, 0)
+    assert count == clique_cover_size(adj, live) >= max_independent_set_brute(adj, live)
+    assert sorted(low.bit_length() - 1 for low in order) == set_bits(live)
+    for k in range(1, count + 1):
+        clique = [low for low, c in zip(order, cover) if c == k]
+        assert all(adj[u.bit_length() - 1] & v for u, v in combinations(clique, 2))
+    kept = [(low, c) for low, c in zip(order, cover) if c > skip]
+    assert _clique_cover(adj, live, skip) == ([low for low, _ in kept],
+                                              [c for _, c in kept], count)
 
 
 @settings(max_examples=150, deadline=None)
