@@ -6,10 +6,12 @@ colour-ordered one that proves the optimum's size, and a max-degree one that
 returns the first optimum in its own order. Both bound a node by one greedy
 clique cover, `_clique_cover`: no independent set among the candidates holds
 more vertices than the cover has cliques. Each search takes a target and
-returns as soon as its incumbent reaches it, which cuts the proof and
-nothing else: the first-optimum search stops at a size proven by the other,
-and the canonical refinements (in the callers) ask each sub-search only
-whether an optimum still extends the candidate on trial.
+returns as soon as its incumbent reaches it. In the colour-ordered search
+that cuts the proof and nothing else, so the canonical refinements (in the
+callers) ask each sub-search only whether an optimum still extends the
+candidate on trial. The first-optimum search, given the optimum's size,
+is a decision search for it: it also cuts every subtree whose cover cannot
+reach that size, which changes no returned set.
 
 The colour-ordered search can prune its root by automorphisms of the graph.
 Once the root branch on v has finished, no independent set through v beats
@@ -86,11 +88,15 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
     return best[0], xs, best[2], left >= 0
 
 
-def _clique_cover(nbr: list[int], cand: int, skip: int) -> tuple[list[int], list[int], int]:
+def _clique_cover(
+    nbr: list[int], cand: int, skip: int, stop: float = float("inf")
+) -> tuple[list[int], list[int], int]:
     """Greedy clique cover of the vertices in cand, so the number of cliques
     bounds every independent set among them. Each clique grows from the
     lowest vertex left, adding the lowest vertex adjacent to all it holds.
-    Rows must be loop-free: no vertex is in its own row.
+    Rows must be loop-free: no vertex is in its own row. The cover stops
+    once it has stop cliques, for a caller that asks only whether the bound
+    reaches stop.
 
     Returns (order, cover, count): order holds, as single-bit masks, the
     vertices of the cliques after the first skip, cover[i] is the number of
@@ -98,7 +104,7 @@ def _clique_cover(nbr: list[int], cand: int, skip: int) -> tuple[list[int], list
     """
     order, cover = [], []
     rest, count = cand, 0
-    while rest:
+    while rest and count < stop:
         count += 1
         clique = rest
         while clique:
@@ -169,9 +175,12 @@ def first_max_independent_set(
     Branch and bound on bitmasks: branch on the highest-degree live vertex
     (the lowest index among equals), taking it first; bound by the greedy
     clique cover of the size proof. The incumbent changes only on a strict
-    gain, so once it reaches the optimum it is the answer: given target, the
-    optimum's size, the search returns at that point and skips the rest of
-    the proof.
+    gain, so once it reaches the optimum it is the answer. Given target, it
+    cuts every subtree whose cover cannot reach target and returns the
+    first incumbent that reaches it, which the untargeted search meets
+    first too; at the optimum's size, that is its answer. target must not
+    exceed the optimum: a search that finishes short of it raises
+    AssertionError.
     """
     best = 0
     best_mask = 0
@@ -183,19 +192,24 @@ def first_max_independent_set(
             best, best_mask = acc, chosen
         if not mask or best >= stop:
             return
-        # a cover holds at most len(adj) cliques, so skipping as many lists
-        # no vertex: only the count is needed
-        if acc + _clique_cover(adj, mask, len(adj))[2] <= best:
+        # the cover must reach the target, else a strict gain; skipping
+        # len(adj) cliques lists no vertex, since only the count is needed
+        need = (best + 1 if target is None else target) - acc
+        if _clique_cover(adj, mask, len(adj), need)[2] < need:
             return
-        v = max(set_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
-        if not adj[v] & mask:
-            # remaining vertices are pairwise compatible: take them all
-            total = acc + mask.bit_count()
-            if total > best:
-                best, best_mask = total, chosen | mask
+        vs = set_bits(mask)
+        degs = [(adj[u] & mask).bit_count() for u in vs]
+        top = max(degs)
+        if not top:
+            # remaining vertices are pairwise compatible: take them all, a
+            # gain, since the cover of one clique each reached need
+            best, best_mask = acc + len(vs), chosen | mask
             return
+        v = vs[degs.index(top)]
         dfs(mask & ~(adj[v] | (1 << v)), acc + 1, chosen | (1 << v))
         dfs(mask & ~(1 << v), acc, chosen)
 
     dfs(live, 0, 0)
+    if target is not None and best < target:
+        raise AssertionError(f"no independent set of size {target}: target above the optimum")
     return best, best_mask

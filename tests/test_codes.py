@@ -410,6 +410,10 @@ def test_oracle_plain_output_is_the_max_degree_refinement():
     triples = [(n, t1, t2) for n in range(2, 7) for t1 in range(1, n) for t2 in range(t1, n)]
     triples += [(7, t1, t2) for t1 in range(1, 7) for t2 in range(t1 + 1, 7)]
     triples += [(8, 3, 7), (8, 4, 4), (9, 1, 8), (9, 2, 4), (9, 3, 8), (10, 1, 5)]
+    # the rest of the benchmark's plain oracle list, and a t1 == t2 > n/2
+    # triple, whose search runs untargeted
+    triples += [(8, 2, 5), (8, 2, 6), (9, 1, 6), (8, 3, 5), (9, 3, 4), (10, 1, 9),
+                (9, 2, 8), (7, 4, 4)]
     for n, t1, t2 in triples:
         size, code = brute_force_max_code(n, t1, t2)
         sigs = kept_signatures(n, t1, t2)

@@ -5,6 +5,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +102,21 @@ def test_first_optimum_is_unchanged_by_stopping_at_the_optimum(graph):
 
 @settings(max_examples=150, deadline=None)
 @given(graphs())
+def test_first_optimum_search_decides_each_target_up_to_the_optimum(graph):
+    # at the optimum itself the set is the untargeted one, as the test above
+    # checks
+    adj, live = graph
+    size, _ = first_max_independent_set(adj, live)
+    for target in range(1, size + 1):
+        got, chosen = first_max_independent_set(adj, live, target)
+        assert got == chosen.bit_count() >= target
+        assert chosen & ~live == 0 and is_independent(adj, chosen)
+    with pytest.raises(AssertionError):
+        first_max_independent_set(adj, live, size + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
 def test_first_optimum_is_the_max_degree_refinement(graph):
     adj, live = graph
     size, mask = first_max_independent_set(adj, live)
@@ -109,8 +125,8 @@ def test_first_optimum_is_the_max_degree_refinement(graph):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(), st.integers(0, 12))
-def test_clique_cover_lists_its_cliques_after_the_skipped_ones(graph, skip):
+@given(graphs(), st.integers(0, 12), st.integers(0, 14))
+def test_clique_cover_lists_its_cliques_after_the_skipped_ones(graph, skip, stop):
     adj, live = graph
     order, cover, count = _clique_cover(adj, live, 0)
     assert count == clique_cover_size(adj, live) >= max_independent_set_brute(adj, live)
@@ -121,6 +137,10 @@ def test_clique_cover_lists_its_cliques_after_the_skipped_ones(graph, skip):
     kept = [(low, c) for low, c in zip(order, cover) if c > skip]
     assert _clique_cover(adj, live, skip) == ([low for low, _ in kept],
                                               [c for _, c in kept], count)
+    # stopped after stop cliques: the same cliques up to there
+    kept = [(low, c) for low, c in kept if c <= stop]
+    assert _clique_cover(adj, live, skip, stop) == ([low for low, _ in kept],
+                                                    [c for _, c in kept], min(count, stop))
 
 
 @settings(max_examples=150, deadline=None)
