@@ -88,30 +88,37 @@ def doubling(
         tie_breaks = PUBLISHED_TIE_BREAKS
     if any(side not in ("P", "S") for side in tie_breaks.values()):
         raise DomainError('tie_breaks values must be "P" or "S"')
+    tie_widths = {key[0] for key in tie_breaks}
     p, s = 0b01, 0b10  # P = {0}, S = {1}
     first = PrefixSuffixSystem(1, [0], [1]) if keep_sets else None
     steps = [DoublingStep(1, 1, 1, (), first)]
     for k in range(2, k_max + 1):
         p = _spread(p)
         s |= s << (1 << (k - 1))
-        dups = set_bits(p & s)
+        both = p & s
+        dups = set_bits(both)
         p_size, s_size = p.bit_count(), s.bit_count()
-        nbytes = 1 << max(0, k - 3)  # room for the bits of every k-bit word
-        drop_p, drop_s = bytearray(nbytes), bytearray(nbytes)
-        for d in dups:
-            if p_size > s_size or (
-                p_size == s_size and tie_breaks.get((k, d), "S") == "P"
-            ):
-                p_size -= 1
-                drop = drop_p
-            else:
-                s_size -= 1
-                drop = drop_s
+        # the first `lead` leave the larger side, the rest go in pairs: the
+        # first of a pair leaves its tie side and the second the other one
+        lead = min(abs(p_size - s_size), len(dups))
+        to_p = dups[:lead] if p_size > s_size else []
+        pairs = dups[lead:]
+        if k in tie_widths:  # P takes the first of a pair iff its tie side is P
+            picks = [j + (tie_breaks.get((k, pairs[j]), "S") == "S")
+                     for j in range(0, len(pairs), 2)]
+            to_p += [pairs[j] for j in picks if j < len(pairs)]
+        else:
+            to_p += pairs[1::2]
+        drop = bytearray(1 << max(0, k - 3))  # room for the bits of every k-bit word
+        for d in to_p:
             drop[d >> 3] |= 1 << (d & 7)
-        p &= ~int.from_bytes(drop_p, "little")
-        s &= ~int.from_bytes(drop_s, "little")
-        if (p.bit_count(), s.bit_count()) != (p_size, s_size):
-            raise AssertionError("doubling sizes disagree with the bitsets")
+        drop_p = int.from_bytes(drop, "little")
+        p &= ~drop_p
+        s &= ~(both & ~drop_p)
+        p_size -= len(to_p)
+        s_size -= len(dups) - len(to_p)
+        if (p.bit_count(), s.bit_count()) != (p_size, s_size) or p & s:
+            raise AssertionError("doubling kept a duplicate on both sides or neither")
         system = PrefixSuffixSystem(k, set_bits(p), set_bits(s)) if keep_sets else None
         steps.append(DoublingStep(k, p_size, s_size, tuple(dups), system))
     return steps
@@ -140,7 +147,7 @@ def _survivor_death_values(k: int) -> list[int]:
     deaths = [0, 2]
     for _ in range(k - 1):
         doubled = [d << 1 for d in deaths]
-        deaths = list(map(min, doubled, range(len(doubled)))) + doubled
+        deaths = [i if i < d else d for i, d in enumerate(doubled)] + doubled
     return deaths
 
 

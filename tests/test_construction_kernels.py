@@ -5,14 +5,18 @@ recurrence, and the zero-block and Gilbert-Levenshtein scans over z stop
 early; the run-free word lists come from the step-z split. Each is checked
 against the plain computation it replaces: doubling on Python sets, a search
 for each suffix's first killing prefix, the argmax over every z, and a
-string search for a z-run of zeros in every candidate word.
+string search for a z-run of zeros in every candidate word. Past the golden
+widths, m-minimum and doubling are pinned to the values they gave before
+their kernels last changed.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapcodes import doubling, gilbert_levenshtein, zero_block
+from overlapcodes import constructions, doubling, gilbert_levenshtein, m_minimum, zero_block
 from overlapcodes.constructions import (
     PUBLISHED_TIE_BREAKS,
     _survivor_death_values,
@@ -73,6 +77,13 @@ def test_doubling_equals_set_doubling_on_random_tie_breaks(k_max, rng):
     assert doubling_rows(k_max, tie_breaks) == set_doubling(k_max, tie_breaks)
 
 
+def test_doubling_split_check_fires_on_a_missed_duplicate(monkeypatch):
+    listed = constructions.set_bits
+    monkeypatch.setattr(constructions, "set_bits", lambda mask: listed(mask)[1:])
+    with pytest.raises(AssertionError):
+        doubling(5, keep_sets=False)
+
+
 def first_killer(s, k):
     """The least prefix m-minimum can draw (below 2^(k-1)) that some t-prefix
     of matches the t-suffix of s; 2^k when there is none."""
@@ -85,6 +96,74 @@ def first_killer(s, k):
 @pytest.mark.parametrize("k", range(1, 10))
 def test_survivor_death_values_equal_first_killers(k):
     assert _survivor_death_values(k) == [first_killer(s, k) for s in range(1 << k)]
+
+
+def test_mmin_scan_takes_the_smallest_best_m():
+    # k = 2, 3 and 8 each have two best m
+    for k in range(2, 12):
+        deaths = _survivor_death_values(k)
+        products = [m * sum(d >= m for d in deaths) for m in range(1, (1 << (k - 1)) + 1)]
+        assert m_minimum(k).m == products.index(max(products)) + 1, k
+
+
+def digest(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+
+# k: (m, |S|, coefficient, digest of the suffixes)
+MMIN_PINS = {
+    15: (3072, 7949, 24419328,
+         "4307149f730b9aa1291503c29c8374ab51f44f0baa119fcf0bbc20adc3076738"),
+    16: (6144, 15012, 92233728,
+         "258b582aa11c567bc63905fb91b9f17c724d1fedfc2a07f0c13fd84cc68bf0a1"),
+    17: (12288, 28350, 348364800,
+         "158f2a386ee790b521576a680e736ae572bd82fba66f3e3e92255c84fed13ce5"),
+    18: (23552, 55885, 1316203520,
+         "b9c8d328227a14e35c87568eb932ddebf608197f70c0bcb449031af8799b1e6a"),
+    19: (45056, 110951, 4999008256,
+         "de51d784aec2f0f50350adf8519fd26e08e0ec87a751d5c9b24e0144ebcd759c"),
+    20: (81920, 232293, 19029442560,
+         "f420b5371b17247d64662fcd8ab7c59de58c213bca066a683bbd6f3cb8e8d180"),
+}
+
+# widths 1..23: (|P|, |S|, digest of the duplicates)
+DOUBLING_PINS = [
+    (1, 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 1, "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    (3, 2, "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce"),
+    (5, 4, "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce"),
+    (8, 8, "c8de9652806bb31834426e02b3272c32d3b705446f73358ab25db6839c64a823"),
+    (15, 14, "42723e4dccc2c66ba949cac3e611e48420e2c1eea23ace91be53b44b5bb0f52c"),
+    (26, 27, "117c8dd80ad89bcbb2f0e1c11656640bde0ede8e10f10901a29d662790ab2f6d"),
+    (50, 50, "b432432a3e10df59beb32239f3dae81f5aa87c3fee1964e3ce344816b48c3212"),
+    (94, 94, "9b7cb644b246f2cef70b633b0178afc7a9b4a73957fd827ec5eb801d8e2271cd"),
+    (180, 179, "868c28f7f6b7c3072bff4fff95d87831c53a28605e53c7c364fe3348269c742a"),
+    (343, 343, "65275792f6c5055f929754a697bf4c705e82d17bbf3036e4db66723039058d21"),
+    (659, 659, "ab6ac0e6709d99acb5dd6854da957b4c945feb8aaf203d7130475f0f787f8ef7"),
+    (1267, 1266, "4af81a190d4490671ac502dcaafdf62c431a99d4d103cc20be0cb37aa907c81c"),
+    (2444, 2444, "bc0998c1f70592663f54e0e8cb3f3489ec301f849d64b190eacbdf26268df1ff"),
+    (4726, 4725, "91e97bc51f5fc3e620e56edf9bf51640191661cd09f6a255810a4aaf26660df1"),
+    (9158, 9157, "25189b5105c9afaabea0f129c596c41c07a37856437efc08a78853343238f27e"),
+    (17779, 17779, "43e413222fe6da602d36027310c91d1c0583106eea702bc8bba04a1e78f0e0f7"),
+    (34576, 34575, "8832f61a1eceb7a2338fa714e2104ac297eeebf1b19bdd91a735ff708465d6e4"),
+    (67340, 67339, "71f9891be80218030b4c3ac8d0a62ba7c7f3e52ab8fa31841daba4b7266c5ef8"),
+    (131323, 131323, "75a6c7a8dbaa1fa9c85915386f40ef8950f4f4a0b23f520454da162b2dcb8f95"),
+    (256415, 256415, "dc8b3ca63443e52028dabb18771e06da55545d07ee56eecb611d384be971753b"),
+    (501207, 501207, "0b03d9df45bb04415149580b930c522dfa9d1dad05fef1093a1a5101a215161a"),
+    (980682, 980681, "77ba3477e04100e9e8213b0ed6fb13aa74d6fc523dbcb9242dd9e8b6ae2fea25"),
+]
+
+
+def test_mmin_is_pinned_past_the_golden_widths():
+    for k, pin in MMIN_PINS.items():
+        res = m_minimum(k)
+        suffixes = res.system.suffixes
+        assert (res.m, len(suffixes), res.size.coefficient, digest(suffixes)) == pin, k
+
+
+def test_doubling_is_pinned_to_23():
+    steps = doubling(23, keep_sets=False)
+    assert [(s.p_size, s.s_size, digest(s.duplicates)) for s in steps] == DOUBLING_PINS
 
 
 def step_fibonacci(z, length):
