@@ -193,15 +193,21 @@ def expand_system(sys: PrefixSuffixSystem, n: int) -> Code:
 # ---------------------------------------------------------------------------
 # file format: optional "# n=<int> q=2" header, one word per line
 #
-# Both directions convert blocks of words through one big int: a word is one
-# w-bit field, w the narrowest of 8, 16, 32 and 64 of at least n, and the
-# fields are packed big-endian so that the int's binary string reads the
-# words in order. Blocks keep the transient buffers a few hundred KiB large.
+# A word is one w-bit field, w the narrowest of 8, 16, 32 and 64 of at least
+# n. write_code packs a block of fields big-endian into one int and slices
+# the int's binary string into the lines, one bit column at a time;
+# _unpack_words inverts that, building the fields byte by byte from the
+# lines' digit columns. Blocks keep the transient buffers a few hundred KiB
+# large.
 
-IO_BLOCK = 8192  # words (or lines, when reading) converted per bulk step
+# write_code writes IO_BLOCK words at a time; read_code reads chunks of
+# IO_BLOCK lines of n digits. A chunk laid out exactly as write_code writes
+# it converts as it stands, any other goes through the line rules first
+IO_BLOCK = 8192
 # n -> (w, struct format character) of the narrowest field holding n bits
 _FIELDS = [min(f for f in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if f[0] >= n)
            for n in range(MAX_BITS + 1)]
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def write_code(code: Code, fh: TextIO):
@@ -220,6 +226,26 @@ def write_code(code: Code, fh: TextIO):
         fh.write(lines.decode())
 
 
+def _unpack_words(data: bytes, n: int, count: int) -> tuple[int, ...]:
+    """The words of data, count lines of n binary digits and a newline each.
+
+    Digit column i of the lines is bit width - n + i of the fields, counted
+    from the top. A column, one 0/1 byte a word, read as one big int and
+    shifted to its place in its field byte cannot carry into the next word's
+    byte, so byte j of every field is the OR of its <= 8 columns.
+    """
+    width, fmt = _FIELDS[n]
+    bits, size = data.translate(_DIGITS), width // 8
+    planes = [0] * size
+    for i in range(n):
+        j, r = divmod(width - n + i, 8)
+        planes[j] |= int.from_bytes(bits[i::n + 1], "big") << (7 - r)
+    fields = bytearray(size * count)
+    for j, plane in enumerate(planes):
+        fields[j::size] = plane.to_bytes(count, "big")
+    return unpack(f">{count}{fmt}", fields)
+
+
 def _first_bad_line(lines: list[str], lineno: int, n: int):
     """Raise for the first word line (numbered from lineno + 1) that is not a
     binary word of length n."""
@@ -236,34 +262,46 @@ def read_code(fh: TextIO) -> Code:
     """Parse a code file: "#" lines are comments, and the first of them
     before any word that reads "# n=<int>" fixes the length; blank lines are
     skipped and every other line, stripped, must be a binary word."""
-    n, values, lineno, lines = None, [], 0, iter(fh)
-    while block := [raw.strip() for raw in islice(lines, IO_BLOCK)]:
-        if n is None:  # the header or the first word fixes the length
-            for i, line in enumerate(block, lineno + 1):
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("n="):
-                        try:
-                            n = int(body.split()[0][2:])
-                        except ValueError as exc:
-                            raise DomainError(f"line {i}: bad header {line!r}") from exc
-                        break
-                elif line:
-                    n = len(line)  # checked with the rest of the block
-                    break
-        words = [line for line in block if line and line[0] != "#"]
+    n, lineno = None, 0
+    while n is None:  # the header or the first word fixes the length
+        first = fh.readline()
+        if not first:
+            raise DomainError("no words and no header in code file")
+        lineno += 1
+        line = first.strip()
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("n="):
+                try:
+                    n = int(body.split()[0][2:])
+                except ValueError as exc:
+                    raise DomainError(f"line {lineno}: bad header {line!r}") from exc
+            first = ""
+        elif line:
+            n, lineno = len(line), lineno - 1  # the word opens the first chunk
+    values, size = [], IO_BLOCK * (min(max(n, 1), MAX_BITS) + 1)
+    while data := first + fh.read(size):
+        first = ""
+        if data[-1] != "\n":  # end the chunk at the end of a line
+            data += fh.readline()
+            if data[-1] != "\n":  # the file's last line, without a newline
+                data += "\n"
+        raw = data.encode("ascii", "replace")
+        count = raw.count(b"\n")
+        if (1 <= n <= MAX_BITS and len(raw) == count * (n + 1)
+                and raw[n::n + 1] == b"\n" * count and not raw.translate(None, b"01\n")):
+            values += _unpack_words(raw, n, count)  # write_code's own layout
+            lineno += count
+            continue
+        lines = [line.strip() for line in data[:-1].split("\n")]
+        words = [line for line in lines if line and line[0] != "#"]
         if words:
             stray = "".join(words).encode("ascii", "replace").translate(None, b"01")
             if stray or set(map(len, words)) != {n}:
-                _first_bad_line(block, lineno, n)
+                _first_bad_line(lines, lineno, n)
             if n <= MAX_BITS:  # else Code refuses n below, whatever the words
-                width, fmt = _FIELDS[n]
-                packed = int(("0" * (width - n)).join(words), 2)
-                raw = packed.to_bytes(width // 8 * len(words), "big")
-                values += unpack(f">{len(words)}{fmt}", raw)
-        lineno += len(block)
-    if n is None:
-        raise DomainError("no words and no header in code file")
+                values += _unpack_words(("\n".join(words) + "\n").encode(), n, len(words))
+        lineno += len(lines)
     return Code(n, values)
 
 

@@ -55,6 +55,18 @@ def test_overlap_witness_is_smallest_in_t_u_v_order():
     assert (str(w.u), str(w.v)) == ("0011", "0110")
 
 
+@pytest.mark.parametrize("strings", [
+    ["0101", "0111", "1010"],
+    # 0xxxxxx1 and one word ending in 0: the checker's wide-head path
+    [f"0{m:06b}1" for m in range(64)] + ["11111110"],
+])
+def test_overlap_witness_v_can_be_the_largest_word(strings):
+    # the only v whose 1-suffix is a 1-prefix of the code (0) is its largest
+    ok, w = is_overlap_free(Code.from_strings(strings), 1, 2)
+    assert not ok and w.t == 1
+    assert (str(w.u), str(w.v)) == (strings[0], strings[-1])
+
+
 def test_overlap_range_checked():
     code = Code.from_strings(["0011"])
     with pytest.raises(DomainError):

@@ -281,8 +281,8 @@ def padded(line, draw):
 @st.composite
 def code_files(draw):
     """Messy code file text: headers, comments, blank lines, padding, CRLF
-    and sometimes a bad line, in any order."""
-    n = draw(st.integers(1, 20))
+    and sometimes a bad line, in any order, between runs of clean lines."""
+    n = draw(st.one_of(st.integers(1, 20), st.sampled_from(FIELD_EDGES)))
     word = st.integers(0, (1 << n) - 1).map(f"{{:0{n}b}}".format)
     good = st.one_of(
         word, word, word,
@@ -299,7 +299,12 @@ def code_files(draw):
                           max_size=40))
     ends = draw(st.lists(st.sampled_from(("\n", "\r\n")), min_size=len(lines),
                          max_size=len(lines)))
-    text = "".join(padded(line, draw) + end for line, end in zip(lines, ends))
+    pieces = [padded(line, draw) + end for line, end in zip(lines, ends)]
+    # runs laid out as write_code writes them, for the bulk route
+    runs = st.lists(word, min_size=1, max_size=30).map(lambda ws: "\n".join(ws) + "\n")
+    for run in draw(st.lists(runs, max_size=3)):
+        pieces.insert(draw(st.integers(0, len(pieces))), run)
+    text = "".join(pieces)
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no newline after the last line
     return text
@@ -334,3 +339,54 @@ def test_read_code_edge_files():
                  "# n=0 q=2\n", "# n=65 q=2\n", "# n=70\n" + "1" * 70, "0101",
                  "# n=3\n# n=4\n0101\n", "0101\n# n=3\n", "# n=4\n0101\n# n=x"):
         assert outcome(read_code, text) == outcome(line_read_code, text), text
+    # n = 1 with blank lines: every stride position is a newline, but the
+    # digits are not on their own lines
+    text = "\n1\n\n\n0\n1\n1\n0\n"
+    assert outcome(read_code, text) == outcome(line_read_code, text)
+    # a short and a long word of the right total length and newline count
+    for text in ("# n=4\n010\n01011\n", "0101\n010\n01011\n"):
+        assert outcome(read_code, text) == outcome(line_read_code, text), text
+
+
+class RecordedReads(io.StringIO):
+    """A StringIO that keeps the size of every read() call."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 65, 1000000000])
+@pytest.mark.parametrize("body", ["0101", "1" * 65, "# a comment", ""])
+def test_read_code_reads_bounded_chunks_after_any_header(n, body):
+    text = f"# n={n} q=2\n" + f"{body}\n" * 200
+    fh = RecordedReads(text)
+    with mock.patch.object(codes, "IO_BLOCK", 2):
+        assert outcome(lambda _: read_code(fh), text) == outcome(line_read_code, text)
+        assert all(0 < size <= 2 * (codes.MAX_BITS + 1) < len(text) for size in fh.sizes)
+
+
+@pytest.mark.parametrize("index", [0, codes.IO_BLOCK - 1, codes.IO_BLOCK,
+                                   2 * codes.IO_BLOCK - 1, 2 * codes.IO_BLOCK,
+                                   2 * codes.IO_BLOCK + 2])
+@pytest.mark.parametrize("kind", ["padded", "crlf", "comment", "bad"])
+def test_read_code_irregular_line_at_a_chunk_edge(index, kind):
+    # a write_code file of two full chunks and three more words, one of
+    # them, the first or last of a chunk, made irregular
+    rng = random.Random(index)
+    code = Code(16, rng.sample(range(1 << 16), 2 * codes.IO_BLOCK + 3))
+    header, *lines = write_text(write_code, code).split("\n")[:-1]
+    word = lines[index]
+    lines[index] = {"padded": f" {word}\t", "crlf": word + "\r", "comment": "# c",
+                    "bad": word[:-1] + "2"}[kind]
+    text = "\n".join([header, *lines])  # no newline after the last line
+    expected = outcome(line_read_code, text)
+    assert outcome(read_code, text) == expected
+    if kind == "bad":
+        assert expected.startswith(f"DomainError: line {index + 2}: ")
+    elif kind != "comment":
+        assert expected == code

@@ -5,15 +5,18 @@ import sys
 import pytest
 
 from overlapcodes import (
+    Code,
     DomainError,
     brute_force_max_code,
     expand_system,
     gilbert_levenshtein,
     golden_tables,
     reproduce_table,
+    write_code,
     zero_block,
 )
 from overlapcodes.cli import main
+from overlapcodes.codes import IO_BLOCK
 
 
 def test_golden_data_loads_with_expected_ranges():
@@ -353,6 +356,22 @@ def test_cli_verify_reads_crlf_and_padded_copy(tmp_path, capsys, t2):
                         "--t2", str(t2)) for path in (plain, messy)]
     assert verdicts[0] == verdicts[1]
     assert verdicts[0][0] == (0 if t2 <= 5 else 1)
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_cli_verify_reads_other_line_ends_in_bulk(tmp_path, capsys, end):
+    # text mode turns every line end into "\n" for read() as for readline(),
+    # so a clean body past the first block reads as the "\n" file does
+    code = Code(16, range(5, 1 << 16, 7))
+    assert len(code) > IO_BLOCK
+    plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+    with open(plain, "w", newline="") as fh:
+        write_code(code, fh)
+    other.write_bytes(plain.read_bytes().replace(b"\n", end.encode()))
+    verdicts = [run_cli(capsys, "--format", "json", "verify", "--file", str(path),
+                        "--t1", "1", "--t2", "3") for path in (plain, other)]
+    assert verdicts[0] == verdicts[1]
+    assert json.loads(verdicts[0][1])["words"] == len(code)
 
 
 def test_cli_verify_names_a_bad_line_past_the_first_block(tmp_path, capsys):
