@@ -327,28 +327,41 @@ def _conflict_rows(sigs: list[tuple[int, int]], t1: int, t2: int) -> list[int]:
     return adj
 
 
+def _by_degree(sigs: list[tuple[int, int]], adj: list[int], t1: int, t2: int):
+    """The classes renumbered by ascending degree, ties in sigs' order, for
+    the colour-ordered search: (order, signatures, conflict rows), class d
+    of the new numbering being class order[d] of sigs."""
+    order = sorted(range(len(sigs)), key=lambda i: adj[i].bit_count())
+    ranked = [sigs[i] for i in order]
+    return order, ranked, _conflict_rows(ranked, t1, t2)
+
+
 def _symmetries(sigs: list[tuple[int, int]], t2: int) -> tuple:
-    """Reversal, complement and both, as maps on the indices of the sorted
-    width-t2 signatures sigs, which must be closed under both.
+    """Reversal, complement and both, as maps on the indices of the
+    width-t2 signatures sigs, in any order, which must be closed under both.
 
     Reversing a word turns its head into its reversed tail and its tail
     into its reversed head, (head, tail) -> (rev tail, rev head), and
     complementing it keeps every equality between heads and tails. Each map
     thus sends a code free of overlaps sized t1..t2 to another, and
-    preserves the conflict rows. Complement reverses the sorted order. The
-    search maps only its root branches, so each image is looked up when
-    asked for.
+    preserves the conflict rows. The search maps only its root branches, so
+    each image is looked up when asked for.
     """
     rev = [0] * (1 << t2)
     for x in range(1, 1 << t2):
         rev[x] = rev[x >> 1] >> 1 | (x & 1) << (t2 - 1)
-    last = len(sigs) - 1
+    flip = (1 << t2) - 1
+    index = {sig: i for i, sig in enumerate(sigs)}
 
     def mirror(i: int) -> int:
         head, tail = sigs[i]
-        return bisect_left(sigs, (rev[tail], rev[head]))
+        return index[rev[tail], rev[head]]
 
-    return mirror, lambda i: last - i, lambda i: last - mirror(i)
+    def complement(i: int) -> int:
+        head, tail = sigs[i]
+        return index[head ^ flip, tail ^ flip]
+
+    return mirror, complement, lambda i: complement(mirror(i))
 
 
 def brute_force_max_code(
@@ -375,6 +388,10 @@ def brute_force_max_code(
             if not any(int_overlap(head, tail, t2, t) for t in range(t1, t2 + 1))]
     adj = _conflict_rows(sigs, t1, t2)
     live = (1 << len(sigs)) - 1
+    # the colour-ordered search gets its own numbering of the classes; the
+    # first-optimum search and the canonical class order keep sigs' order
+    if t1 < t2 or canonical:
+        order, ranked, ranked_adj = _by_degree(sigs, adj, t1, t2)
     # the optimum's class count, where it is cheap to know, stops the
     # first-optimum search there. With t1 == t2 = t <= n/2 the t-heads and
     # t-tails of a code are disjoint, so at most 2^(2t-2) classes fit (heads
@@ -383,7 +400,7 @@ def brute_force_max_code(
     if t1 == t2 and 2 * t2 <= n:
         target = 1 << (2 * t2 - 2)
     elif t1 < t2:
-        target = search.max_independent_set_size(adj, live, _symmetries(sigs, t2))
+        target = search.max_independent_set_size(ranked_adj, live, _symmetries(ranked, t2))
     else:
         target = None
     if canonical and target is not None:
@@ -397,14 +414,15 @@ def brute_force_max_code(
         # of their smallest member gives the least sorted word list; sorted
         # (head, tail) signatures are already in that order. The lowest
         # undecided class is kept iff the later ones it leaves live still
-        # hold need - 1 more, and the sub-search stops once it finds them
+        # hold need - 1 more, and the sub-search stops once it finds them.
+        # rest and after are masks of the degree numbering
         chosen, rest, need = 0, live, count
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            after = rest & ~adj[low.bit_length() - 1]
-            if search.max_independent_set_size(adj, after, target=need - 1) >= need - 1:
-                chosen, rest, need = chosen | low, after, need - 1
+        for d in sorted(range(len(order)), key=order.__getitem__):
+            if rest >> d & 1:
+                rest ^= 1 << d
+                after = rest & ~ranked_adj[d]
+                if search.max_independent_set_size(ranked_adj, after, target=need - 1) >= need - 1:
+                    chosen, rest, need = chosen | 1 << order[d], after, need - 1
         if need:
             raise AssertionError("canonical refinement lost the optimum")
 

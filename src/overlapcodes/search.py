@@ -9,7 +9,10 @@ more vertices than the cover has cliques. Each search takes a target and
 returns as soon as its incumbent reaches it. In the colour-ordered search
 that cuts the proof and nothing else, so the canonical refinements (in the
 callers) ask each sub-search only whether an optimum still extends the
-candidate on trial. The first-optimum search, given the optimum's size,
+candidate on trial. The colour-ordered search colours in the index order
+it is given: the oracle numbers its classes by ascending degree once per
+call, and each of its searches picks its vertices by a live mask in that
+numbering. The first-optimum search, given the optimum's size,
 is a decision search for it: it also cuts every subtree whose cover cannot
 reach that size, which changes no returned set.
 
@@ -124,11 +127,12 @@ def max_independent_set_size(
     target, the first size found that reaches it.
 
     Colour-ordered branch and bound on bitmasks (MCQ of Tomita and Seki,
-    DMTCS 2003, run on the complement graph). The live vertices are
-    renumbered by ascending degree; each node covers its candidates greedily
-    by cliques in that order, and branches on the vertices of the last
-    cliques first, stopping once the clique count can no longer beat the
-    incumbent.
+    DMTCS 2003, run on the complement graph). Each node covers its
+    candidates greedily by cliques in index order, and branches on the
+    vertices of the last cliques first, stopping once the clique count can
+    no longer beat the incumbent. The search renumbers nothing: callers
+    number the vertices by ascending degree, as MCQ does, once for all the
+    searches they run on the graph. Row bits outside live are ignored.
 
     symmetries are maps from vertex to vertex, each an automorphism of the
     graph induced on the live vertices. When the root branch on v finishes,
@@ -136,9 +140,6 @@ def max_independent_set_size(
     image of v under a symmetry is too (the symmetry's inverse maps it to
     one through v); those images leave the root's candidates with v.
     """
-    verts = sorted(set_bits(live), key=lambda v: (adj[v] & live).bit_count())
-    index = {v: 1 << i for i, v in enumerate(verts)}
-    nbr = [sum(index[u] for u in set_bits(adj[v] & live)) for v in verts]
     best = 0
     stop = float("inf") if target is None else target
 
@@ -146,23 +147,24 @@ def max_independent_set_size(
         nonlocal best
         # the first best - size cliques can never lead to a gain, so their
         # vertices are not listed
-        order, cover, _ = _clique_cover(nbr, cand, best - size)
+        order, cover, _ = _clique_cover(adj, cand, best - size)
         for i in range(len(order) - 1, -1, -1):
             if size + cover[i] <= best or best >= stop:
                 return
             low = order[i]
             if not cand & low:
                 continue  # dropped at the root as the image of a finished branch
-            sub = cand & ~nbr[low.bit_length() - 1] & ~low
+            v = low.bit_length() - 1
+            sub = cand & ~adj[v] & ~low
             if sub:
                 expand(sub, size + 1)
             elif size >= best:
                 best = size + 1
             cand ^= low
             for image in symmetries:
-                cand &= ~index[image(verts[low.bit_length() - 1])]
+                cand &= ~(1 << image(v))
 
-    expand((1 << len(verts)) - 1, 0, symmetries)
+    expand(live, 0, symmetries)
     return best
 
 

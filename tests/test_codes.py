@@ -26,7 +26,7 @@ from overlapcodes import (
     write_code,
     zero_block,
 )
-from overlapcodes.words import int_overlap
+from overlapcodes.words import int_overlap, set_bits
 from oracles import first_independent_set, max_degree_refinement
 
 
@@ -284,37 +284,66 @@ def rev(x, width):
     return int(format(x, f"0{width}b")[::-1], 2)
 
 
-def test_oracle_symmetries_are_automorphisms():
-    for n in range(3, 9):
-        for t1 in range(1, n):
-            for t2 in range(t1 + 1, n):
-                sigs = kept_signatures(n, t1, t2)
-                adj = codes._conflict_rows(sigs, t1, t2)
-                flip = (1 << t2) - 1
-                mirror, complement, both = codes._symmetries(sigs, t2)
-                for perm, want in (
-                    (mirror, lambda h, t: (rev(t, t2), rev(h, t2))),
-                    (complement, lambda h, t: (flip ^ h, flip ^ t)),
-                    (both, lambda h, t: (flip ^ rev(t, t2), flip ^ rev(h, t2))),
-                ):
-                    images = [perm(i) for i in range(len(sigs))]
-                    assert [sigs[j] for j in images] == [want(*sig) for sig in sigs]
-                    assert sorted(images) == list(range(len(sigs))), (n, t1, t2)
-                    for i, row in enumerate(adj):
-                        assert adj[images[i]] == sum(
-                            1 << images[j] for j in range(len(sigs)) if row >> j & 1
-                        ), (n, t1, t2, i)
-
-
-def test_oracle_proof_is_unchanged_by_symmetry_pruning():
+def test_oracle_degree_order_renumbers_the_conflict_rows():
+    # the colour-ordered search's graph is the oracle's graph, its classes
+    # renumbered by ascending degree with ties in signature order
     for n in range(3, 8):
         for t1 in range(1, n):
             for t2 in range(t1 + 1, n):
                 sigs = kept_signatures(n, t1, t2)
                 adj = codes._conflict_rows(sigs, t1, t2)
+                order, ranked, ranked_adj = codes._by_degree(sigs, adj, t1, t2)
+                assert sorted(order) == list(range(len(sigs)))
+                assert ranked == [sigs[i] for i in order]
+                keys = [(adj[i].bit_count(), i) for i in order]
+                assert keys == sorted(keys), (n, t1, t2)
+                pos = {i: d for d, i in enumerate(order)}
+                assert ranked_adj == [sum(1 << pos[j] for j in set_bits(adj[i]))
+                                      for i in order], (n, t1, t2)
+
+
+def test_oracle_symmetries_are_automorphisms():
+    # in signature order and in the search's degree order alike
+    for n in range(3, 9):
+        for t1 in range(1, n):
+            for t2 in range(t1 + 1, n):
+                sigs = kept_signatures(n, t1, t2)
+                adj = codes._conflict_rows(sigs, t1, t2)
+                _, ranked, ranked_adj = codes._by_degree(sigs, adj, t1, t2)
+                check_symmetries(sigs, adj, t2, (n, t1, t2))
+                check_symmetries(ranked, ranked_adj, t2, (n, t1, t2))
+
+
+def check_symmetries(sigs, adj, t2, where):
+    """codes._symmetries(sigs, t2) are reversal, complement and both, each
+    an automorphism of the conflict rows adj."""
+    flip = (1 << t2) - 1
+    mirror, complement, both = codes._symmetries(sigs, t2)
+    for perm, want in (
+        (mirror, lambda h, t: (rev(t, t2), rev(h, t2))),
+        (complement, lambda h, t: (flip ^ h, flip ^ t)),
+        (both, lambda h, t: (flip ^ rev(t, t2), flip ^ rev(h, t2))),
+    ):
+        images = [perm(i) for i in range(len(sigs))]
+        assert [sigs[j] for j in images] == [want(*sig) for sig in sigs]
+        assert sorted(images) == list(range(len(sigs))), where
+        for i, row in enumerate(adj):
+            assert adj[images[i]] == sum(
+                1 << images[j] for j in range(len(sigs)) if row >> j & 1
+            ), (where, i)
+
+
+def test_oracle_proof_is_unchanged_by_symmetry_pruning():
+    # on the degree-ordered graph the oracle's proof runs on
+    for n in range(3, 8):
+        for t1 in range(1, n):
+            for t2 in range(t1 + 1, n):
+                sigs = kept_signatures(n, t1, t2)
+                _, ranked, adj = codes._by_degree(
+                    sigs, codes._conflict_rows(sigs, t1, t2), t1, t2)
                 live = (1 << len(sigs)) - 1
                 pruned = search.max_independent_set_size(
-                    adj, live, codes._symmetries(sigs, t2))
+                    adj, live, codes._symmetries(ranked, t2))
                 assert pruned == search.max_independent_set_size(adj, live), (n, t1, t2)
 
 
@@ -347,26 +376,28 @@ def test_oracle_sizes_match_an_integer_program():
     # gets 2x <= 1), the overlaps read off bit strings
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
-    for n in range(2, 7):
+    triples = [(n, t1, t2) for n in range(2, 7) for t1 in range(1, n) for t2 in range(t1, n)]
+    # n = 7 triples with t1 < t2 whose program HiGHS solves in under a
+    # second; (7, 4, 6) takes about 0.9 s too, and (7, 3, 4), (7, 3, 5),
+    # (7, 4, 5) and (7, 5, 6) 2-5 s each
+    triples += [(7, t1, t2) for t1 in (1, 2) for t2 in range(t1 + 1, 7)] + [(7, 3, 6)]
+    for n, t1, t2 in triples:
         strings = [format(w, f"0{n}b") for w in range(1 << n)]
-        for t1 in range(1, n):
-            for t2 in range(t1, n):
-                rows = []
-                for u, su in enumerate(strings):
-                    for v, sv in enumerate(strings[u:], u):
-                        if any(su[:t] == sv[-t:] or sv[:t] == su[-t:]
-                               for t in range(t1, t2 + 1)):
-                            row = np.zeros(1 << n)
-                            row[u] += 1
-                            row[v] += 1
-                            rows.append(row)
-                res = optimize.milp(
-                    -np.ones(1 << n), integrality=np.ones(1 << n),
-                    bounds=optimize.Bounds(0, 1),
-                    constraints=optimize.LinearConstraint(np.array(rows), -np.inf, 1),
-                )
-                assert res.status == 0, (n, t1, t2, res.message)
-                assert brute_force_max_code(n, t1, t2)[0] == round(-res.fun), (n, t1, t2)
+        rows = []
+        for u, su in enumerate(strings):
+            for v, sv in enumerate(strings[u:], u):
+                if any(su[:t] == sv[-t:] or sv[:t] == su[-t:] for t in range(t1, t2 + 1)):
+                    row = np.zeros(1 << n)
+                    row[u] += 1
+                    row[v] += 1
+                    rows.append(row)
+        res = optimize.milp(
+            -np.ones(1 << n), integrality=np.ones(1 << n),
+            bounds=optimize.Bounds(0, 1),
+            constraints=optimize.LinearConstraint(np.array(rows), -np.inf, 1),
+        )
+        assert res.status == 0, (n, t1, t2, res.message)
+        assert brute_force_max_code(n, t1, t2)[0] == round(-res.fun), (n, t1, t2)
 
 
 def test_oracle_capacity():

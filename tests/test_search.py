@@ -91,6 +91,28 @@ def test_colour_ordered_size_is_the_exhaustive_optimum(graph):
 
 
 @settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_colour_ordered_size_does_not_depend_on_the_numbering(graph, data):
+    # the search colours in the order it is given, so any order must do;
+    # graphs() draws live as any subset, so rows carry bits outside it
+    adj, live = graph
+    n = len(adj)
+    pi = data.draw(st.permutations(range(n)))
+
+    def image(mask):
+        return sum(1 << pi[v] for v in set_bits(mask))
+
+    relabelled = [0] * n
+    for v, row in enumerate(adj):
+        relabelled[pi[v]] = image(row)
+    single = 1 << data.draw(st.integers(0, n - 1)) if n else 0
+    for mask in (live, 0, single):
+        want = max_independent_set_size(adj, mask)
+        assert max_independent_set_size(relabelled, image(mask)) == want
+        assert want == max_independent_set_brute(adj, mask)
+
+
+@settings(max_examples=150, deadline=None)
 @given(graphs())
 def test_first_optimum_is_unchanged_by_stopping_at_the_optimum(graph):
     adj, live = graph
