@@ -89,21 +89,32 @@ def _first_clash(
 ) -> Optional[tuple[int, int]]:
     """The least (t, x), t in [t1, t2], such that x is the t-head of a
     width-bit word in heads and the t-tail of one in tails; None if none is.
+
+    heads must be sorted. Its distinct base-width heads are then read by
+    bisection, one step each, and there are at most 2^base <= len/16 of
+    them, len the size of the smaller side.
     """
     # Size-t clashes depend only on the words' t-bit heads and tails. Up to
-    # width `base` (at most 2^base <= len/16 of the smaller side) these are
-    # cut from the base-width heads and tails; wider ones come straight from
-    # the words.
+    # width `base` they are cut from the base-width tails, a set made from
+    # every word of tails, and from the distinct base-width heads, bisected
+    # from heads; wider ones come straight from the words.
     base = min(t2, min(len(heads), len(tails)).bit_length() - 5)
     if base >= t1:
-        wide = (base, set(map((width - base).__rrshift__, heads)),
-                set(map(((1 << base) - 1).__and__, tails)))
+        shift, mask = width - base, (1 << base) - 1
+        wide_heads, i = [], 0
+        while i < len(heads):
+            h = heads[i] >> shift
+            wide_heads.append(h)
+            i = bisect_left(heads, (h + 1) << shift, i + 1)
+        wide = base, wide_heads, {x & mask for x in tails}
     for t in range(t1, t2 + 1):
         w, t_heads, t_tails = wide if t <= base else (width, heads, tails)
-        hits = set(map(((1 << t) - 1).__and__, t_tails))
-        hits = hits.intersection(map((w - t).__rrshift__, t_heads))
+        shift, mask = w - t, (1 << t) - 1
+        t_tails = {x & mask for x in t_tails}
+        # the heads ascend, so the first hit is the least
+        hits = [y for x in t_heads if (y := x >> shift) in t_tails]
         if hits:
-            return t, min(hits)
+            return t, hits[0]
     return None
 
 

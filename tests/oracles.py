@@ -21,6 +21,17 @@ def adjacent(p: int, s: int, k: int) -> bool:
     return any(int_overlap(p, s, k, t) for t in range(1, k + 1))
 
 
+def first_clash(width: int, heads, tails, t1: int, t2: int):
+    """The least (t, x), t in [t1, t2], such that x is the t-prefix of a
+    width-bit word in heads and the t-suffix of one in tails; None if none
+    is. Each size's prefixes and suffixes come straight from every word."""
+    for t in range(t1, t2 + 1):
+        hits = {h >> (width - t) for h in heads} & {s & ((1 << t) - 1) for s in tails}
+        if hits:
+            return t, min(hits)
+    return None
+
+
 def cyclic_shift(w: BitWord, j: int) -> BitWord:
     """Rotate left by j: a1..an -> a(j+1)..an a1..aj."""
     if not 0 <= j < w.length:

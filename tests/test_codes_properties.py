@@ -23,6 +23,7 @@ from overlapcodes import (
     write_code,
 )
 from overlapcodes.words import int_overlap
+from oracles import first_clash
 
 MAX_N = 12
 
@@ -158,6 +159,108 @@ def wide_systems(draw):
 def test_validate_system_matches_pairwise_definition(system):
     clash = least_clash(system)
     assert validate_system(system) == (clash is None, clash)
+
+
+def bit_patterns(bits):
+    """bits-bit ints, 0 and 2^bits - 1 among them."""
+    return st.integers(0, (1 << bits) - 1) | st.sampled_from((0, (1 << bits) - 1))
+
+
+@st.composite
+def patterned_words(draw, width, role, z, edges):
+    """One side of a clash check, its heads, its tails or both: a single
+    word, or 2^e to 2^(e+1) - 1 random width-bit words, e in 9..12, whose
+    hb-bit heads come from up to three patterns, so that there are few
+    distinct heads of the checker's base width, e - 4. With z = 0 the tails
+    come from up to three patterns too, and clashes of small sizes come and
+    go. With z > 0 the side has the shape of a zero-block system, clean as
+    far as the tails reach: the heads start with z zeros, and every z-th
+    bit of a tails side, or of the last tb bits of both, is set, so that no
+    run of z zeros can meet a head. Up to two of edges join a quarter of the
+    sides."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if not rng.randrange(5):
+        return [rng.getrandbits(width)]
+    e = draw(st.integers(9, min(12, width - 1)))
+    # at least e + 1 random bits keep most words distinct
+    room = max(1, width - e - 1)
+    hb = draw(st.integers(1, room))
+    heads = draw(st.lists(bit_patterns(hb), min_size=1, max_size=3))
+    keep, ones, tb, tails = (1 << width) - 1, 0, 0, [0]
+    if not z:
+        tb = draw(st.integers(0, room - hb))
+        tails = draw(st.lists(bit_patterns(tb), min_size=1, max_size=3))
+    elif role == "tails":
+        ones = sum(1 << i for i in range(0, width, z))
+    else:
+        keep >>= z
+        if role == "both":
+            ones = sum(1 << i for i in range(0, draw(st.integers(0, width - hb)), z))
+    middle = (1 << (width - hb)) - (1 << tb)
+    words = [(rng.choice(heads) << (width - hb) | rng.getrandbits(width) & middle
+              | rng.choice(tails)) & keep | ones
+             for _ in range(rng.randrange(1 << e, 2 << e))]
+    return words + rng.sample(edges, rng.choice((0, 0, 0, 0, 0, 0, 1, 2)))
+
+
+def planted(rng, width, heads, size):
+    """A random word whose size-bit tail is the size-bit head of a random
+    word of heads, of one whose size-bit head ends in 1 if there is one;
+    with size None, a word that starts and ends in 1 and is not below any
+    word of heads."""
+    if size is None:
+        return max(heads) | 1 << (width - 1) | 1
+    u = rng.choice([h for h in heads if h >> (width - size) & 1] or heads)
+    return rng.getrandbits(width - size) << size | u >> (width - size)
+
+
+def reference_witness(n, words, t1, t2):
+    """(t, u, v) of the least clash by the reference scan: u the least word
+    with the hit as its t-prefix, v the least with it as its t-suffix."""
+    clash = first_clash(n, words, words, t1, t2)
+    if clash is None:
+        return None
+    t, hit = clash
+    return (t, min(u for u in words if u >> (n - t) == hit),
+            min(v for v in words if v & ((1 << t) - 1) == hit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(10, 20), st.booleans(), st.data())
+def test_clash_scan_matches_reference_on_large_sides(width, two_sides, data):
+    # Up to 8,191 words a side, so that the checker cuts the sizes up to its
+    # base width, 5-8 or t2 when smaller, from the distinct base-width heads.
+    # One word may be added that clashes with a head at a drawn size, or
+    # that has the greatest head, the last one the checker's bisection
+    # reads; on a zero-block shape the latter is the one clash of size 1.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    z = data.draw(st.sampled_from((2, 3, 1, 0)))
+    plant = data.draw(st.booleans())
+    size = data.draw(st.none() | st.integers(1, 8) | st.integers(1, width - 1))
+    if two_sides:
+        edges = (0, 1, (1 << width) - 2, (1 << width) - 1)
+        prefixes = data.draw(patterned_words(width, "heads", z, edges))
+        suffixes = data.draw(patterned_words(width, "tails", z, edges))
+        if plant:
+            word = planted(rng, width, prefixes, size)
+            (suffixes if size else prefixes).append(word)
+        system = PrefixSuffixSystem(width, prefixes, suffixes)
+        clash = first_clash(width, system.prefixes, system.suffixes, 1, width)
+        expected = (True, None) if clash is None else (False, (clash[0], BitWord(*clash)))
+        assert validate_system(system) == expected
+    else:
+        # 0 and 2^width - 1 would clash with themselves at every size
+        words = data.draw(patterned_words(width, "both", z, (1, (1 << width) - 2)))
+        if plant:
+            words.append(planted(rng, width, words, size))
+        code = Code(width, words)
+        t2 = data.draw(st.integers(3, 8) | st.integers(3, width - 1))
+        t1 = data.draw(st.integers(1, min(t2, 4)) | st.integers(1, t2))
+        ok, witness = is_overlap_free(code, t1, t2)
+        expected = reference_witness(width, code.words, t1, t2)
+        assert ok == (expected is None)
+        if witness is not None:
+            assert (witness.t, witness.u.value, witness.v.value) == expected
 
 
 @settings(max_examples=150, deadline=None)
