@@ -13,7 +13,7 @@ with explicit sets/codes on request under capacity caps.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .codes import EXPANSION_CAP, Code, PrefixSuffixSystem
@@ -45,8 +45,15 @@ class DoublingStep:
     k: int
     p_size: int
     s_size: int
-    duplicates: tuple[int, ...]
+    # bit w set iff word w was on both doubled sides; a mask of 2^k bits has
+    # too many digits for repr (CPython's int-to-str limit), so it is left out
+    _duplicates: int = field(repr=False)
     system: Optional[PrefixSuffixSystem]
+
+    @property
+    def duplicates(self) -> tuple[int, ...]:
+        """The words on both doubled sides, ascending, listed when read."""
+        return tuple(set_bits(self._duplicates))
 
     @property
     def product(self) -> int:
@@ -65,6 +72,51 @@ def _spread(mask: int) -> int:
     return int.from_bytes(out, "little")
 
 
+def _low_bits(mask: int, count: int) -> int:
+    """The lowest `count` set bits of mask, found by bisecting on the cut."""
+    cut = bisect_left(range(mask.bit_length() + 1), count,
+                      key=lambda x: (mask & ((1 << x) - 1)).bit_count())
+    return mask & ((1 << cut) - 1)
+
+
+def _prefix_parity(mask: int) -> int:
+    """Below the mask's length, bit w set iff mask has an odd number of set
+    bits at w and below; the bits above are left over from the shifts. One
+    shift-xor step per bit of the length (Warren, Hacker's Delight, 2nd ed.)."""
+    for i in range(mask.bit_length().bit_length()):
+        mask ^= mask << (1 << i)
+    return mask
+
+
+def _word_mask(k: int, words) -> int:
+    """The k-bit words among `words` as a mask: bit w set iff w is one."""
+    raw = bytearray(1 << max(0, k - 3))
+    for w in words:
+        if 0 <= w < 1 << k:
+            raw[w >> 3] |= 1 << (w & 7)
+    return int.from_bytes(raw, "little")
+
+
+def _leave_p(both: int, lead: int, p_larger: bool, p_ties: int) -> int:
+    """The duplicates (the set bits of both) that leave P, as a mask.
+
+    The lowest `lead` leave the larger side and the rest pair up in
+    ascending order: the first of a pair leaves P iff it is in the mask
+    p_ties and the second leaves the other side; an unpaired last one
+    counts as a first.
+    """
+    head = _low_bits(both, lead)
+    rest = both ^ head
+    runs = _prefix_parity(rest)  # set from each first of a pair up to its second
+    firsts = rest & runs
+    seconds = rest ^ firsts
+    # a first that leaves P swaps sides with its second: adding the first to
+    # its run carries onto the second
+    swap = firsts & p_ties
+    swap |= (runs + swap) & seconds
+    return ((head if p_larger else 0) | seconds) ^ swap
+
+
 def doubling(
     k_max: int,
     keep_sets: bool = True,
@@ -78,7 +130,8 @@ def doubling(
     the equal-size case; unlisted ties drop the suffix copy. The default is
     PUBLISHED_TIE_BREAKS; pass {} for the plain suffix-side rule.
 
-    Each side is a bitset: bit w of the int is set iff word w is on it.
+    Each side is a bitset: bit w of the int is set iff word w is on it, and
+    the duplicates are split between the sides as whole masks.
     """
     if k_max < 1:
         raise DomainError(f"need k_max >= 1, got {k_max}")
@@ -88,39 +141,36 @@ def doubling(
         tie_breaks = PUBLISHED_TIE_BREAKS
     if any(side not in ("P", "S") for side in tie_breaks.values()):
         raise DomainError('tie_breaks values must be "P" or "S"')
-    tie_widths = {key[0] for key in tie_breaks}
+    p_ties = {}  # k -> the k-bit words whose tie side is P
+    for (k, w), side in tie_breaks.items():
+        if side == "P":
+            p_ties.setdefault(k, []).append(w)
     p, s = 0b01, 0b10  # P = {0}, S = {1}
+    p_size = s_size = 1
     first = PrefixSuffixSystem(1, [0], [1]) if keep_sets else None
-    steps = [DoublingStep(1, 1, 1, (), first)]
+    steps = [DoublingStep(1, 1, 1, 0, first)]
     for k in range(2, k_max + 1):
         p = _spread(p)
         s |= s << (1 << (k - 1))
+        p_size, s_size = 2 * p_size, 2 * s_size
         both = p & s
-        dups = set_bits(both)
-        p_size, s_size = p.bit_count(), s.bit_count()
-        # the first `lead` leave the larger side, the rest go in pairs: the
-        # first of a pair leaves its tie side and the second the other one
-        lead = min(abs(p_size - s_size), len(dups))
-        to_p = dups[:lead] if p_size > s_size else []
-        pairs = dups[lead:]
-        if k in tie_widths:  # P takes the first of a pair iff its tie side is P
-            picks = [j + (tie_breaks.get((k, pairs[j]), "S") == "S")
-                     for j in range(0, len(pairs), 2)]
-            to_p += [pairs[j] for j in picks if j < len(pairs)]
-        else:
-            to_p += pairs[1::2]
-        drop = bytearray(1 << max(0, k - 3))  # room for the bits of every k-bit word
-        for d in to_p:
-            drop[d >> 3] |= 1 << (d & 7)
-        drop_p = int.from_bytes(drop, "little")
-        p &= ~drop_p
-        s &= ~(both & ~drop_p)
-        p_size -= len(to_p)
-        s_size -= len(dups) - len(to_p)
+        n_dups = both.bit_count()
+        lead = min(abs(p_size - s_size), n_dups)
+        ties = _word_mask(k, p_ties[k]) if k in p_ties else 0
+        to_p = _leave_p(both, lead, p_size > s_size, ties)
+        p &= ~to_p
+        s &= ~(both & ~to_p)
+        # the same rule counted: one of each pair leaves P, and so does an
+        # unpaired last duplicate whose tie side is P
+        leave_p = (lead if p_size > s_size else 0) + (n_dups - lead) // 2
+        if (n_dups - lead) % 2 and tie_breaks.get((k, both.bit_length() - 1)) == "P":
+            leave_p += 1
+        p_size -= leave_p
+        s_size -= n_dups - leave_p
         if (p.bit_count(), s.bit_count()) != (p_size, s_size) or p & s:
-            raise AssertionError("doubling kept a duplicate on both sides or neither")
+            raise AssertionError("doubling's split disagrees with its counted rule")
         system = PrefixSuffixSystem(k, set_bits(p), set_bits(s)) if keep_sets else None
-        steps.append(DoublingStep(k, p_size, s_size, tuple(dups), system))
+        steps.append(DoublingStep(k, p_size, s_size, both, system))
     return steps
 
 
@@ -151,11 +201,25 @@ def _survivor_death_values(k: int) -> list[int]:
     return deaths
 
 
+def _survivors(k: int, m: int) -> list[int]:
+    """[s for s in range(2^k) if death[s] >= m], ascending, without the deaths.
+
+    death_w[i] = min(i, 2 * death_{w-1}[i]) and death_w[2^(w-1) + i] =
+    2 * death_{w-1}[i], so the width-w survivors at m are the width-(w-1)
+    survivors at ceil(m / 2) from m up, then the same words with a leading 1.
+    """
+    if k == 1:  # the width-1 death values are [0, 2]
+        return [s for s, d in enumerate((0, 2)) if d >= m]
+    alive = _survivors(k - 1, -(-m // 2))
+    return alive[bisect_left(alive, m):] + list(map((1 << (k - 1)).__or__, alive))
+
+
 def m_minimum(k: int) -> MMinResult:
     """Best prefix count m: P = first m integers, S = unaffected suffixes.
 
-    Scans every m up to 2^(k-1) keeping survivor counts incrementally via
-    precomputed death times; smallest m wins ties.
+    Scans every m up to 2^(k-1) keeping survivor counts incrementally via a
+    histogram of the death values; smallest m wins ties. The survivors at
+    the best m are listed by the death values' width recurrence.
     """
     if k < 2:
         raise DomainError(f"need k >= 2, got {k}")
@@ -174,11 +238,8 @@ def m_minimum(k: int) -> MMinResult:
         prod = m * cnt
         if prod > best_prod:
             best_m, best_prod, best_alive = m, prod, cnt
-    system = PrefixSuffixSystem(
-        k,
-        range(best_m),
-        (s for s in range(1 << k) if deaths[s] >= best_m),
-    )
+    system = PrefixSuffixSystem(k, range(best_m), _survivors(k, best_m))
+    # the recurrence's survivors against the histogram's count
     if len(system.suffixes) != best_alive:
         raise AssertionError("m-minimum survivor count disagrees with the scan")
     return MMinResult(k, best_m, system, SymbolicSize(best_prod, 2 * k))

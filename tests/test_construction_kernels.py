@@ -1,25 +1,28 @@
 """The construction kernels against direct versions written here.
 
-doubling runs on bitsets, the m-minimum death values come from a halving
-recurrence, and the zero-block and Gilbert-Levenshtein scans over z stop
-early; the run-free word lists come from the step-z split. Each is checked
-against the plain computation it replaces: doubling on Python sets, a search
-for each suffix's first killing prefix, the argmax over every z, and a
-string search for a z-run of zeros in every candidate word. Past the golden
-widths, m-minimum and doubling are pinned to the values they gave before
-their kernels last changed.
+doubling runs on bitsets and splits its duplicates on whole masks, the
+m-minimum death values and survivors come from a halving recurrence, and
+the zero-block and Gilbert-Levenshtein scans over z stop early; the run-free
+word lists come from the step-z split. Each is checked against the plain
+computation it replaces: doubling on Python sets, the split on the listed
+duplicates, a search for each suffix's first killing prefix, a filter of
+the death values, the argmax over every z, and a string search for a z-run
+of zeros in every candidate word. Past the golden widths, m-minimum and
+doubling are pinned to the values they gave before their kernels last
+changed.
 """
 
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapcodes import constructions, doubling, gilbert_levenshtein, m_minimum, zero_block
 from overlapcodes.constructions import (
     PUBLISHED_TIE_BREAKS,
     _survivor_death_values,
+    _survivors,
     gl_words,
     run_free_odd_words,
 )
@@ -77,11 +80,67 @@ def test_doubling_equals_set_doubling_on_random_tie_breaks(k_max, rng):
     assert doubling_rows(k_max, tie_breaks) == set_doubling(k_max, tie_breaks)
 
 
+def test_doubling_ignores_tie_breaks_off_the_words():
+    strays = {(5, -1): "P", (5, 1 << 5): "P", (9, 1 << 40): "P", (40, 3): "P"}
+    tie_breaks = {**PUBLISHED_TIE_BREAKS, **strays}
+    assert doubling_rows(10, tie_breaks) == set_doubling(10, tie_breaks)
+
+
 def test_doubling_split_check_fires_on_a_missed_duplicate(monkeypatch):
-    listed = constructions.set_bits
-    monkeypatch.setattr(constructions, "set_bits", lambda mask: listed(mask)[1:])
+    # the larger side keeps the least duplicate it should give up, and the
+    # pairs after it shift by one
+    low_bits = constructions._low_bits
+    monkeypatch.setattr(constructions, "_low_bits",
+                        lambda mask, count: (low := low_bits(mask, count)) & (low - 1))
     with pytest.raises(AssertionError):
         doubling(5, keep_sets=False)
+
+
+def listed_leave_p(both, lead, p_larger, p_ties):
+    """_leave_p on the listed duplicates: the first `lead` leave the larger
+    side, then each pair's first leaves P iff it is a P tie, else its second
+    does; an unpaired last one leaves P iff it is a P tie."""
+    dups = [w for w in range(both.bit_length()) if both >> w & 1]
+    to_p = dups[:lead] if p_larger else []
+    pairs = dups[lead:]
+    for j in range(0, len(pairs), 2):
+        if pairs[j] in p_ties:
+            to_p.append(pairs[j])
+        elif j + 1 < len(pairs):
+            to_p.append(pairs[j + 1])
+    return sum(1 << w for w in to_p)
+
+
+@st.composite
+def split_cases(draw):
+    """(both, lead, p_larger, p_ties): a dense or a sparse duplicate mask, a
+    lead up to its popcount, and P ties among the duplicates and off them."""
+    both = draw(st.integers(0, (1 << 300) - 1)
+                | st.sets(st.integers(0, 400)).map(lambda ws: sum(1 << w for w in ws)))
+    dups = [w for w in range(both.bit_length()) if both >> w & 1]
+    lead = draw(st.integers(0, len(dups)))
+    p_ties = draw(st.sets(st.sampled_from(dups))) if dups else set()
+    p_ties |= draw(st.sets(st.integers(0, 410), max_size=3))
+    return both, lead, draw(st.booleans()), p_ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+@example((0, 0, True, set()))  # no duplicates
+@example((0b1011, 0, False, set()))  # no lead, an unpaired last one
+@example((0b1011, 0, True, {3}))  # ... that is a P tie
+@example((0b110101, 4, True, {0, 4}))  # every duplicate in the lead
+# P ties in the lead, on a first, on the unpaired last one and off the duplicates
+@example((0b1110101, 2, False, {2, 4, 6, 9}))
+def test_mask_split_equals_listed_split(case):
+    both, lead, p_larger, p_ties = case
+    assert constructions._leave_p(both, lead, p_larger, sum(1 << w for w in p_ties)) == (
+        listed_leave_p(both, lead, p_larger, p_ties))
+
+
+def test_doubling_step_repr_leaves_out_the_duplicate_mask():
+    step = doubling(23, keep_sets=False)[-1]
+    assert repr(step) == "DoublingStep(k=23, p_size=980682, s_size=980681, system=None)"
 
 
 def first_killer(s, k):
@@ -96,6 +155,13 @@ def first_killer(s, k):
 @pytest.mark.parametrize("k", range(1, 10))
 def test_survivor_death_values_equal_first_killers(k):
     assert _survivor_death_values(k) == [first_killer(s, k) for s in range(1 << k)]
+
+
+def test_survivor_recurrence_equals_death_value_filter():
+    for k in range(1, 11):
+        deaths = _survivor_death_values(k)
+        for m in range(1, (1 << (k - 1)) + 2):
+            assert _survivors(k, m) == [s for s in range(1 << k) if deaths[s] >= m], (k, m)
 
 
 def test_mmin_scan_takes_the_smallest_best_m():
