@@ -182,34 +182,46 @@ class MMinResult:
     size: SymbolicSize
 
 
-def _survivor_death_values(k: int) -> list[int]:
-    """death[s] = smallest prefix integer whose inclusion kills suffix s.
+def _alive_count(k: int, m: int) -> int:
+    """How many k-bit words no prefix below m overlaps, for 1 <= m <= 2^(k-1).
 
-    A prefix p kills s when some t-prefix of p equals the t-suffix of s.
-    Over prefixes drawn from 0, 1, 2, ... in order, the first killer of s
-    is min over t of (t-suffix of s) * 2^(k-t), restricted to t-suffixes
-    starting with 0 (others never match a prefix below 2^(k-1)). Suffixes
-    with no such t (e.g. all ones) never die; they get sentinel 2^k.
-    Dropping the top bit of s doubles every candidate with t < k, and t = k
-    adds s itself when its top bit is 0, so the values for width k follow
-    from those for width k - 1.
+    A prefix overlaps s when some t-prefix of it is the t-suffix x of s, and
+    the least prefix with that t-prefix is x * 2^(k-t), below 2^(k-1) only
+    when x starts with 0. So s survives iff s mod 2^t >= c_t = ((m - 1) >>
+    (k - t)) + 1 for every t in 1..k; an x that starts with 1 is at least
+    2^(t-1) >= c_t.
+
+    alive[j] counts the j-bit words that meet the bound at every t <= j: a
+    walk down c_j's bits counts those >= c_j. Where bit i of c_j is 0 the
+    word may take a 1 above any word of alive[i], and once c_j mod 2^i is
+    below c_i every word of alive[i] exceeds it.
     """
-    deaths = [0, 2]
-    for _ in range(k - 1):
-        doubled = [d << 1 for d in deaths]
-        deaths = [i if i < d else d for i, d in enumerate(doubled)] + doubled
-    return deaths
+    cuts = [((m - 1) >> (k - t)) + 1 for t in range(k + 1)]
+    alive = [1]
+    for c in cuts[1:]:
+        total = 0
+        i = len(alive)
+        while i:
+            i -= 1
+            if not c >> i & 1:
+                total += alive[i]
+            if c & ~(-1 << i) < cuts[i]:
+                total += alive[i]
+                break
+        alive.append(total)
+    return alive[k]
 
 
 def _survivors(k: int, m: int) -> list[int]:
-    """[s for s in range(2^k) if death[s] >= m], ascending, without the deaths.
+    """The k-bit words that no prefix below min(m, 2^(k-1)) overlaps, ascending.
 
-    death_w[i] = min(i, 2 * death_{w-1}[i]) and death_w[2^(w-1) + i] =
-    2 * death_{w-1}[i], so the width-w survivors at m are the width-(w-1)
-    survivors at ceil(m / 2) from m up, then the same words with a leading 1.
+    s survives iff s mod 2^t > (m - 1) >> (k - t) for every t (see
+    _alive_count), and (m - 1) >> 1 = ceil(m / 2) - 1, so the width-k
+    survivors at m are the width-(k-1) survivors at ceil(m / 2) from m up,
+    then the same words with a leading 1.
     """
-    if k == 1:  # the width-1 death values are [0, 2]
-        return [s for s, d in enumerate((0, 2)) if d >= m]
+    if k == 1:  # the one prefix, 0, overlaps the word 0
+        return [1]
     alive = _survivors(k - 1, -(-m // 2))
     return alive[bisect_left(alive, m):] + list(map((1 << (k - 1)).__or__, alive))
 
@@ -217,32 +229,34 @@ def _survivors(k: int, m: int) -> list[int]:
 def m_minimum(k: int) -> MMinResult:
     """Best prefix count m: P = first m integers, S = unaffected suffixes.
 
-    Scans every m up to 2^(k-1) keeping survivor counts incrementally via a
-    histogram of the death values; smallest m wins ties. The survivors at
-    the best m are listed by the death values' width recurrence.
+    The survivor count never rises with m, so hi * count(lo) bounds the
+    product on [lo, hi]: a depth-first search halves [1, 2^(k-1)], counts
+    at each midpoint by _alive_count and drops every interval that cannot
+    beat the best m so far; smallest m wins ties. The survivors at the best
+    m are listed by their width recurrence.
     """
     if k < 2:
         raise DomainError(f"need k >= 2, got {k}")
     if k > MMIN_MAX_K:
         raise CapacityError(f"m-minimum scan capped at 2 <= k <= {MMIN_MAX_K}")
-    deaths = _survivor_death_values(k)
     top = 1 << (k - 1)
-    hist = [0] * (top + 1)  # hist[m]: suffixes dying at m, for m <= top
-    for d in deaths:
-        if d <= top:
-            hist[d] += 1
-    cnt = len(deaths) - hist[0]
-    best_m, best_prod, best_alive = 1, cnt, cnt
-    for m in range(2, top + 1):
-        cnt -= hist[m - 1]
-        prod = m * cnt
-        if prod > best_prod:
-            best_m, best_prod, best_alive = m, prod, cnt
+    first, last = _alive_count(k, 1), _alive_count(k, top)
+    best_m, best_alive = (1, first) if first >= top * last else (top, last)
+    stack = [(1, first, top)]  # (lo, count(lo), hi), both ends counted
+    while stack:
+        lo, lo_alive, hi = stack.pop()
+        if hi - lo < 2 or (hi * lo_alive, -lo) <= (best_m * best_alive, -best_m):
+            continue
+        mid = (lo + hi) // 2
+        mid_alive = _alive_count(k, mid)
+        if (mid * mid_alive, -mid) > (best_m * best_alive, -best_m):
+            best_m, best_alive = mid, mid_alive
+        stack += [(mid, mid_alive, hi), (lo, lo_alive, mid)]
     system = PrefixSuffixSystem(k, range(best_m), _survivors(k, best_m))
-    # the recurrence's survivors against the histogram's count
+    # the recurrence's survivors against the closed count
     if len(system.suffixes) != best_alive:
-        raise AssertionError("m-minimum survivor count disagrees with the scan")
-    return MMinResult(k, best_m, system, SymbolicSize(best_prod, 2 * k))
+        raise AssertionError("m-minimum survivor count disagrees with the search")
+    return MMinResult(k, best_m, system, SymbolicSize(best_m * best_alive, 2 * k))
 
 
 @dataclass(frozen=True)

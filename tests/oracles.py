@@ -13,6 +13,7 @@ from overlapcodes.words import int_overlap
 NO_ZERO_RUN_BRUTE_CAP = 20
 SPACED_ONES_BRUTE_CAP = 20
 NU_BRUTE_CAP = 4
+DEATH_VALUES_CAP = 20
 
 
 def adjacent(p: int, s: int, k: int) -> bool:
@@ -30,6 +31,24 @@ def first_clash(width: int, heads, tails, t1: int, t2: int):
         if hits:
             return t, min(hits)
     return None
+
+
+def survivor_death_values(k: int) -> list[int]:
+    """death[s] = the least prefix below 2^(k-1) that overlaps the k-bit
+    word s, or the sentinel 2^k when none does.
+
+    Prefixes from 0 up first meet the t-suffix x of s at x * 2^(k-t), and
+    only when x starts with 0. Dropping the top bit of s doubles every such
+    value with t < k, and t = k adds s itself when its top bit is 0, so the
+    values for width k follow from those for width k - 1.
+    """
+    if k > DEATH_VALUES_CAP:
+        raise CapacityError(f"death values capped at k = {DEATH_VALUES_CAP}")
+    deaths = [0, 2]
+    for _ in range(k - 1):
+        doubled = [d << 1 for d in deaths]
+        deaths = [i if i < d else d for i, d in enumerate(doubled)] + doubled
+    return deaths
 
 
 def cyclic_shift(w: BitWord, j: int) -> BitWord:

@@ -1,18 +1,21 @@
 """The construction kernels against direct versions written here.
 
-doubling runs on bitsets and splits its duplicates on whole masks, the
-m-minimum death values and survivors come from a halving recurrence, and
-the zero-block and Gilbert-Levenshtein scans over z stop early; the run-free
+doubling runs on bitsets and splits its duplicates on whole masks;
+m-minimum counts its survivors in closed form, finds its best m by a
+branch and bound, and lists the survivors by a halving recurrence; the
+zero-block and Gilbert-Levenshtein scans over z stop early; the run-free
 word lists come from the step-z split. Each is checked against the plain
 computation it replaces: doubling on Python sets, the split on the listed
 duplicates, a search for each suffix's first killing prefix, a filter of
-the death values, the argmax over every z, and a string search for a z-run
-of zeros in every candidate word. Past the golden widths, m-minimum and
-doubling are pinned to the values they gave before their kernels last
-changed.
+the death values (tests/oracles.py), the listed survivors, the argmax over
+every m and over every z, and a string search for a z-run of zeros in
+every candidate word. Past the golden widths, m-minimum and doubling are
+pinned to the values they gave before their kernels last changed.
 """
 
 import hashlib
+from bisect import bisect_left
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,12 +24,13 @@ from hypothesis import strategies as st
 from overlapcodes import constructions, doubling, gilbert_levenshtein, m_minimum, zero_block
 from overlapcodes.constructions import (
     PUBLISHED_TIE_BREAKS,
-    _survivor_death_values,
+    _alive_count,
     _survivors,
     gl_words,
     run_free_odd_words,
 )
 from overlapcodes.words import int_overlap
+from oracles import survivor_death_values
 
 
 def set_doubling(k_max, tie_breaks):
@@ -152,24 +156,64 @@ def first_killer(s, k):
     return 1 << k
 
 
+@cache
+def first_killers(k):
+    return [first_killer(s, k) for s in range(1 << k)]
+
+
 @pytest.mark.parametrize("k", range(1, 10))
 def test_survivor_death_values_equal_first_killers(k):
-    assert _survivor_death_values(k) == [first_killer(s, k) for s in range(1 << k)]
+    assert survivor_death_values(k) == first_killers(k)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_alive_count_equals_first_killer_count(k):
+    killers = first_killers(k)
+    for m in range(1, (1 << (k - 1)) + 1):
+        assert _alive_count(k, m) == sum(p >= m for p in killers), m
+
+
+def test_alive_count_equals_death_value_filter():
+    for k in range(1, 13):
+        deaths = sorted(survivor_death_values(k))
+        for m in range(1, (1 << (k - 1)) + 1):
+            assert _alive_count(k, m) == len(deaths) - bisect_left(deaths, m), (k, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(1, 1 << (k - 1)))))
+@example((20, 1))  # every odd word survives
+@example((20, 1 << 19))  # only the all-ones word survives
+@example((20, 81920))  # the best m at k = 20
+def test_alive_count_equals_listed_survivors(case):
+    k, m = case
+    assert _alive_count(k, m) == len(_survivors(k, m))
 
 
 def test_survivor_recurrence_equals_death_value_filter():
     for k in range(1, 11):
-        deaths = _survivor_death_values(k)
+        deaths = survivor_death_values(k)
         for m in range(1, (1 << (k - 1)) + 2):
             assert _survivors(k, m) == [s for s in range(1 << k) if deaths[s] >= m], (k, m)
 
 
 def test_mmin_scan_takes_the_smallest_best_m():
     # k = 2, 3 and 8 each have two best m
-    for k in range(2, 12):
-        deaths = _survivor_death_values(k)
-        products = [m * sum(d >= m for d in deaths) for m in range(1, (1 << (k - 1)) + 1)]
-        assert m_minimum(k).m == products.index(max(products)) + 1, k
+    for k in range(2, 17):
+        deaths = sorted(survivor_death_values(k))
+        products = [m * (len(deaths) - bisect_left(deaths, m))
+                    for m in range(1, (1 << (k - 1)) + 1)]
+        best = max(products)
+        res = m_minimum(k)
+        assert (res.m, res.size.coefficient) == (products.index(best) + 1, best), k
+
+
+def test_mmin_survivor_check_fires_on_a_dropped_word(monkeypatch):
+    survivors = constructions._survivors
+    monkeypatch.setattr(constructions, "_survivors", lambda k, m: survivors(k, m)[1:])
+    with pytest.raises(AssertionError):
+        m_minimum(6)
 
 
 def digest(values):
