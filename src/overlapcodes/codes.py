@@ -92,13 +92,13 @@ def _first_clash(
 
     heads must be sorted. Its distinct base-width heads are then read by
     bisection, one step each, and there are at most 2^base <= len/16 of
-    them, len the size of the smaller side.
+    them, len the size of the larger side.
     """
     # Size-t clashes depend only on the words' t-bit heads and tails. Up to
     # width `base` they are cut from the base-width tails, a set made from
     # every word of tails, and from the distinct base-width heads, bisected
     # from heads; wider ones come straight from the words.
-    base = min(t2, min(len(heads), len(tails)).bit_length() - 5)
+    base = min(t2, max(len(heads), len(tails)).bit_length() - 5)
     if base >= t1:
         shift, mask = width - base, (1 << base) - 1
         wide_heads, i = [], 0
@@ -339,10 +339,11 @@ def _conflict_rows(sigs: list[tuple[int, int]], t1: int, t2: int) -> list[int]:
 
 
 def _by_degree(sigs: list[tuple[int, int]], adj: list[int], t1: int, t2: int):
-    """The classes renumbered by ascending degree, ties in sigs' order, for
-    the colour-ordered search: (order, signatures, conflict rows), class d
-    of the new numbering being class order[d] of sigs."""
-    order = sorted(range(len(sigs)), key=lambda i: adj[i].bit_count())
+    """The classes renumbered by descending degree, ties in reverse sigs'
+    order, so that covers walking down from the top index meet them as MCQ
+    colours, by ascending degree: (order, signatures, conflict rows), class
+    d of the new numbering being class order[d] of sigs."""
+    order = sorted(range(len(sigs)), key=lambda i: adj[i].bit_count())[::-1]
     ranked = [sigs[i] for i in order]
     return order, ranked, _conflict_rows(ranked, t1, t2)
 
@@ -397,12 +398,9 @@ def brute_force_max_code(
     sigs = sorted({(w >> (n - t2), w & ((1 << t2) - 1)) for w in range(1 << n)})
     sigs = [(head, tail) for head, tail in sigs
             if not any(int_overlap(head, tail, t2, t) for t in range(t1, t2 + 1))]
-    adj = _conflict_rows(sigs, t1, t2)
+    # every search runs on the degree numbering; sigs' rows only rank it
+    order, ranked, adj = _by_degree(sigs, _conflict_rows(sigs, t1, t2), t1, t2)
     live = (1 << len(sigs)) - 1
-    # the colour-ordered search gets its own numbering of the classes; the
-    # first-optimum search and the canonical class order keep sigs' order
-    if t1 < t2 or canonical:
-        order, ranked, ranked_adj = _by_degree(sigs, adj, t1, t2)
     # the optimum's class count, where it is cheap to know, stops the
     # first-optimum search there. With t1 == t2 = t <= n/2 the t-heads and
     # t-tails of a code are disjoint, so at most 2^(2t-2) classes fit (heads
@@ -411,13 +409,14 @@ def brute_force_max_code(
     if t1 == t2 and 2 * t2 <= n:
         target = 1 << (2 * t2 - 2)
     elif t1 < t2:
-        target = search.max_independent_set_size(ranked_adj, live, _symmetries(ranked, t2))
+        target = search.max_independent_set_size(adj, live, _symmetries(ranked, t2))
     else:
         target = None
     if canonical and target is not None:
         count = target  # the refinement below picks the set
     else:
-        count, chosen = search.first_max_independent_set(adj, live, target)
+        # ties go to the lowest signature index, as in sigs' own numbering
+        count, chosen = search.first_max_independent_set(adj, live, target, order)
 
     if canonical:
         # classes are disjoint, every optimum uses whole classes and all
@@ -426,14 +425,13 @@ def brute_force_max_code(
         # (head, tail) signatures are already in that order. The lowest
         # undecided class is kept iff the later ones it leaves live still
         # hold need - 1 more, and the sub-search stops once it finds them.
-        # rest and after are masks of the degree numbering
         chosen, rest, need = 0, live, count
         for d in sorted(range(len(order)), key=order.__getitem__):
             if rest >> d & 1:
                 rest ^= 1 << d
-                after = rest & ~ranked_adj[d]
-                if search.max_independent_set_size(ranked_adj, after, target=need - 1) >= need - 1:
-                    chosen, rest, need = chosen | 1 << order[d], after, need - 1
+                after = rest & ~adj[d]
+                if search.max_independent_set_size(adj, after, target=need - 1) >= need - 1:
+                    chosen, rest, need = chosen | 1 << d, after, need - 1
         if need:
             raise AssertionError("canonical refinement lost the optimum")
 
@@ -443,5 +441,5 @@ def brute_force_max_code(
     middles = range(1 << max(0, n - 2 * t2))
     return len(middles) * count, Code(n, [
         head << (n - t2) | m << t2 | tail
-        for head, tail in map(sigs.__getitem__, set_bits(chosen)) for m in middles
+        for head, tail in map(ranked.__getitem__, set_bits(chosen)) for m in middles
     ])

@@ -9,12 +9,13 @@ more vertices than the cover has cliques. Each search takes a target and
 returns as soon as its incumbent reaches it. In the colour-ordered search
 that cuts the proof and nothing else, so the canonical refinements (in the
 callers) ask each sub-search only whether an optimum still extends the
-candidate on trial. The colour-ordered search colours in the index order
-it is given: the oracle numbers its classes by ascending degree once per
-call, and each of its searches picks its vertices by a live mask in that
-numbering. The first-optimum search, given the optimum's size,
-is a decision search for it: it also cuts every subtree whose cover cannot
-reach that size, which changes no returned set.
+candidate on trial. Neither search renumbers the graph: the oracle numbers
+its classes by descending degree once per call, the covers walk down from
+the top index and so meet them by ascending degree, and the first-optimum
+search breaks degree ties by the signature order it is given as a key.
+Given the optimum's size, that search is a decision search for it: it
+also cuts every subtree whose cover cannot reach that size, which changes
+no returned set.
 
 The colour-ordered search can prune its root by automorphisms of the graph.
 Once the root branch on v has finished, no independent set through v beats
@@ -25,6 +26,8 @@ Ostrowski et al., Math. Programming 2011, applied at the root only). The
 dropped set is never branched on again, so it need not be closed under the
 group.
 """
+
+from functools import lru_cache
 
 from .words import set_bits
 
@@ -92,32 +95,46 @@ def two_sided_search(rows, objective, candidates, ymask, xcount=0,
 
 
 def _clique_cover(
-    nbr: list[int], cand: int, skip: int, stop: float = float("inf")
+    nbr: list[int], bits: tuple[int, ...], cand: int, skip: int, stop: float = float("inf")
 ) -> tuple[list[int], list[int], int]:
     """Greedy clique cover of the vertices in cand, so the number of cliques
     bounds every independent set among them. Each clique grows from the
-    lowest vertex left, adding the lowest vertex adjacent to all it holds.
+    highest vertex left, adding the highest vertex adjacent to all it holds:
+    bit_length finds it and bits[v] is 1 << v, so no one-bit mask is built
+    (San Segundo et al., Computers & OR 2011, scan bitsets by index too).
     Rows must be loop-free: no vertex is in its own row. The cover stops
     once it has stop cliques, for a caller that asks only whether the bound
     reaches stop.
 
-    Returns (order, cover, count): order holds, as single-bit masks, the
-    vertices of the cliques after the first skip, cover[i] is the number of
-    the clique holding order[i] (from 1), and count is the number of cliques.
+    Returns (order, cover, count): order holds the vertices of the cliques
+    after the first skip, cover[i] is the number of the clique holding
+    order[i] (from 1), and count is the number of cliques.
     """
+    rest, count, quiet = cand, 0, min(skip, stop)
+    while rest and count < quiet:  # the skipped cliques: nothing to list
+        count += 1
+        clique = rest
+        while clique:
+            v = clique.bit_length() - 1
+            rest ^= bits[v]
+            clique &= nbr[v]
     order, cover = [], []
-    rest, count = cand, 0
     while rest and count < stop:
         count += 1
         clique = rest
         while clique:
-            low = clique & -clique
-            rest ^= low
-            clique &= nbr[low.bit_length() - 1]
-            if count > skip:
-                order.append(low)
-                cover.append(count)
+            v = clique.bit_length() - 1
+            rest ^= bits[v]
+            clique &= nbr[v]
+            order.append(v)
+            cover.append(count)
     return order, cover, count
+
+
+@lru_cache(maxsize=1)
+def _bits(n: int) -> tuple[int, ...]:
+    """1 << v for each v below n, shared by successive searches on one graph."""
+    return tuple(1 << v for v in range(n))
 
 
 def max_independent_set_size(
@@ -128,11 +145,12 @@ def max_independent_set_size(
 
     Colour-ordered branch and bound on bitmasks (MCQ of Tomita and Seki,
     DMTCS 2003, run on the complement graph). Each node covers its
-    candidates greedily by cliques in index order, and branches on the
-    vertices of the last cliques first, stopping once the clique count can
-    no longer beat the incumbent. The search renumbers nothing: callers
-    number the vertices by ascending degree, as MCQ does, once for all the
-    searches they run on the graph. Row bits outside live are ignored.
+    candidates greedily by cliques from the top index down, and branches on
+    the vertices of the last cliques first, stopping once the clique count
+    can no longer beat the incumbent. The search renumbers nothing: callers
+    number the vertices by descending degree, so that the cover takes them
+    in MCQ's ascending order, once for all the searches they run on the
+    graph. Row bits outside live are ignored.
 
     symmetries are maps from vertex to vertex, each an automorphism of the
     graph induced on the live vertices. When the root branch on v finishes,
@@ -142,51 +160,53 @@ def max_independent_set_size(
     """
     best = 0
     stop = float("inf") if target is None else target
+    bits = _bits(len(adj))
 
     def expand(cand: int, size: int, symmetries=()):
         nonlocal best
         # the first best - size cliques can never lead to a gain, so their
         # vertices are not listed
-        order, cover, _ = _clique_cover(adj, cand, best - size)
+        order, cover, _ = _clique_cover(adj, bits, cand, best - size)
         for i in range(len(order) - 1, -1, -1):
             if size + cover[i] <= best or best >= stop:
                 return
-            low = order[i]
-            if not cand & low:
+            v = order[i]
+            if symmetries and not cand & bits[v]:
                 continue  # dropped at the root as the image of a finished branch
-            v = low.bit_length() - 1
-            sub = cand & ~adj[v] & ~low
+            sub = cand & ~(adj[v] | bits[v])
             if sub:
                 expand(sub, size + 1)
             elif size >= best:
                 best = size + 1
-            cand ^= low
+            cand ^= bits[v]
             for image in symmetries:
-                cand &= ~(1 << image(v))
+                cand &= ~bits[image(v)]
 
     expand(live, 0, symmetries)
     return best
 
 
 def first_max_independent_set(
-    adj: list[int], live: int, target: int | None = None
+    adj: list[int], live: int, target: int | None = None, key=None
 ) -> tuple[int, int]:
     """The first maximum independent set among the live vertices in this
     search's order, as (size, chosen bitmask).
 
-    Branch and bound on bitmasks: branch on the highest-degree live vertex
-    (the lowest index among equals), taking it first; bound by the greedy
-    clique cover of the size proof. The incumbent changes only on a strict
-    gain, so once it reaches the optimum it is the answer. Given target, it
-    cuts every subtree whose cover cannot reach target and returns the
-    first incumbent that reaches it, which the untargeted search meets
-    first too; at the optimum's size, that is its answer. target must not
-    exceed the optimum: a search that finishes short of it raises
-    AssertionError.
+    Branch and bound on bitmasks: branch on the highest-degree live vertex,
+    ties to the least key[v] (by default, the lowest index), taking it
+    first; bound by the greedy clique cover of the size proof. The
+    incumbent changes only on a strict gain, so once it reaches the optimum
+    it is the answer. Given target, it cuts every subtree whose cover
+    cannot reach target and returns the first incumbent that reaches it,
+    which the untargeted search meets first too; at the optimum's size,
+    that is its answer. target must not exceed the optimum: a search that
+    finishes short of it raises AssertionError.
     """
     best = 0
     best_mask = 0
     stop = float("inf") if target is None else target
+    bits = _bits(len(adj))
+    key = range(len(adj)) if key is None else key
 
     def dfs(mask: int, acc: int, chosen: int):
         nonlocal best, best_mask
@@ -197,7 +217,7 @@ def first_max_independent_set(
         # the cover must reach the target, else a strict gain; skipping
         # len(adj) cliques lists no vertex, since only the count is needed
         need = (best + 1 if target is None else target) - acc
-        if _clique_cover(adj, mask, len(adj), need)[2] < need:
+        if _clique_cover(adj, bits, mask, len(adj), need)[2] < need:
             return
         vs = set_bits(mask)
         degs = [(adj[u] & mask).bit_count() for u in vs]
@@ -207,9 +227,9 @@ def first_max_independent_set(
             # gain, since the cover of one clique each reached need
             best, best_mask = acc + len(vs), chosen | mask
             return
-        v = vs[degs.index(top)]
-        dfs(mask & ~(adj[v] | (1 << v)), acc + 1, chosen | (1 << v))
-        dfs(mask & ~(1 << v), acc, chosen)
+        v = min((u for u, d in zip(vs, degs) if d == top), key=key.__getitem__)
+        dfs(mask & ~(adj[v] | bits[v]), acc + 1, chosen | bits[v])
+        dfs(mask ^ bits[v], acc, chosen)
 
     dfs(live, 0, 0)
     if target is not None and best < target:

@@ -285,8 +285,8 @@ def rev(x, width):
 
 
 def test_oracle_degree_order_renumbers_the_conflict_rows():
-    # the colour-ordered search's graph is the oracle's graph, its classes
-    # renumbered by ascending degree with ties in signature order
+    # the searches' graph is the oracle's graph, its classes renumbered by
+    # descending degree with ties in reverse signature order
     for n in range(3, 8):
         for t1 in range(1, n):
             for t2 in range(t1 + 1, n):
@@ -296,7 +296,7 @@ def test_oracle_degree_order_renumbers_the_conflict_rows():
                 assert sorted(order) == list(range(len(sigs)))
                 assert ranked == [sigs[i] for i in order]
                 keys = [(adj[i].bit_count(), i) for i in order]
-                assert keys == sorted(keys), (n, t1, t2)
+                assert keys == sorted(keys, reverse=True), (n, t1, t2)
                 pos = {i: d for d, i in enumerate(order)}
                 assert ranked_adj == [sum(1 << pos[j] for j in set_bits(adj[i]))
                                       for i in order], (n, t1, t2)
@@ -345,6 +345,32 @@ def test_oracle_proof_is_unchanged_by_symmetry_pruning():
                 pruned = search.max_independent_set_size(
                     adj, live, codes._symmetries(ranked, t2))
                 assert pruned == search.max_independent_set_size(adj, live), (n, t1, t2)
+
+
+def test_oracle_size_proofs_visit_the_pinned_nodes(monkeypatch):
+    # One clique cover per node of the colour-ordered proof. A slip in the
+    # degree numbering or in the cover's direction keeps every output but
+    # can cost the proof 6-10x, so the counts are pinned; a stronger bound
+    # (ROADMAP item 4) updates these pins on purpose.
+    calls, proofs = [0], []
+    cover, size = search._clique_cover, search.max_independent_set_size
+
+    def counted_cover(*args):
+        calls[0] += 1
+        return cover(*args)
+
+    def counted_size(*args, **kwargs):
+        before = calls[0]
+        result = size(*args, **kwargs)
+        proofs.append(calls[0] - before)
+        return result
+
+    monkeypatch.setattr(search, "_clique_cover", counted_cover)
+    monkeypatch.setattr(search, "max_independent_set_size", counted_size)
+    for (n, t1, t2), nodes in (((9, 3, 8), 6239), ((7, 4, 5), 754), ((8, 3, 7), 636)):
+        proofs.clear()
+        brute_force_max_code(n, t1, t2)
+        assert proofs == [nodes], (n, t1, t2)
 
 
 def test_oracle_plain_output_is_pinned():

@@ -244,10 +244,14 @@ def test_clash_scan_matches_reference_on_large_sides(width, two_sides, data):
         if plant:
             word = planted(rng, width, prefixes, size)
             (suffixes if size else prefixes).append(word)
-        system = PrefixSuffixSystem(width, prefixes, suffixes)
-        clash = first_clash(width, system.prefixes, system.suffixes, 1, width)
-        expected = (True, None) if clash is None else (False, (clash[0], BitWord(*clash)))
-        assert validate_system(system) == expected
+        # one-word sides too, as mis_matching_certificate's P = {0}: the
+        # checker then takes its base width from the other side
+        for system in (PrefixSuffixSystem(width, prefixes, suffixes),
+                       PrefixSuffixSystem(width, [0], suffixes),
+                       PrefixSuffixSystem(width, prefixes, [rng.choice(suffixes)])):
+            clash = first_clash(width, system.prefixes, system.suffixes, 1, width)
+            expected = (True, None) if clash is None else (False, (clash[0], BitWord(*clash)))
+            assert validate_system(system) == expected
     else:
         # 0 and 2^width - 1 would clash with themselves at every size
         words = data.draw(patterned_words(width, "both", z, (1, (1 << width) - 2)))

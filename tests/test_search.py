@@ -147,22 +147,56 @@ def test_first_optimum_is_the_max_degree_refinement(graph):
 
 
 @settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_first_optimum_follows_its_tie_key_through_a_renumbering(graph, data):
+    # ties go to the least key[v], so a renumbered graph keyed by the old
+    # numbers gives the image of the old set; the oracle's printed code,
+    # searched on its degree numbering keyed by signature index, rests on it
+    adj, live = graph
+    n = len(adj)
+    pi = data.draw(st.permutations(range(n)))
+
+    def image(mask):
+        return sum(1 << pi[v] for v in set_bits(mask))
+
+    relabelled, key = [0] * n, [0] * n
+    for v, row in enumerate(adj):
+        relabelled[pi[v]], key[pi[v]] = image(row), v
+    size, _ = first_max_independent_set(adj, live)
+    for target in (None, *range(1, size + 1)):
+        got, mask = first_max_independent_set(adj, live, target)
+        assert first_max_independent_set(relabelled, image(live), target, key) == (
+            got, image(mask)), target
+
+
+@settings(max_examples=150, deadline=None)
 @given(graphs(), st.integers(0, 12), st.integers(0, 14))
 def test_clique_cover_lists_its_cliques_after_the_skipped_ones(graph, skip, stop):
     adj, live = graph
-    order, cover, count = _clique_cover(adj, live, 0)
-    assert count == clique_cover_size(adj, live) >= max_independent_set_brute(adj, live)
-    assert sorted(low.bit_length() - 1 for low in order) == set_bits(live)
+    n = len(adj)
+    bits = [1 << v for v in range(n)]
+    order, cover, count = _clique_cover(adj, bits, live, 0)
+
+    def flip(mask):
+        return sum(1 << (n - 1 - v) for v in set_bits(mask))
+
+    # the reference grows its cliques from the lowest vertex, so it covers
+    # the graph numbered backwards in the same cliques
+    backwards = [flip(adj[n - 1 - v]) for v in range(n)]
+    assert count == clique_cover_size(backwards, flip(live))
+    assert count >= max_independent_set_brute(adj, live)
+    assert sorted(order) == set_bits(live)
     for k in range(1, count + 1):
-        clique = [low for low, c in zip(order, cover) if c == k]
-        assert all(adj[u.bit_length() - 1] & v for u, v in combinations(clique, 2))
-    kept = [(low, c) for low, c in zip(order, cover) if c > skip]
-    assert _clique_cover(adj, live, skip) == ([low for low, _ in kept],
-                                              [c for _, c in kept], count)
+        clique = [v for v, c in zip(order, cover) if c == k]
+        assert all(adj[u] >> v & 1 for u, v in combinations(clique, 2))
+    kept = [(v, c) for v, c in zip(order, cover) if c > skip]
+    assert _clique_cover(adj, bits, live, skip) == ([v for v, _ in kept],
+                                                    [c for _, c in kept], count)
     # stopped after stop cliques: the same cliques up to there
-    kept = [(low, c) for low, c in kept if c <= stop]
-    assert _clique_cover(adj, live, skip, stop) == ([low for low, _ in kept],
-                                                    [c for _, c in kept], min(count, stop))
+    kept = [(v, c) for v, c in kept if c <= stop]
+    assert _clique_cover(adj, bits, live, skip, stop) == ([v for v, _ in kept],
+                                                          [c for _, c in kept],
+                                                          min(count, stop))
 
 
 @settings(max_examples=150, deadline=None)
