@@ -25,6 +25,13 @@ one of the same size through v, so none through σ(v) beats it either, and
 Ostrowski et al., Math. Programming 2011, applied at the root only). The
 dropped set is never branched on again, so it need not be closed under the
 group.
+
+It can also run on parts of the graph, given a caller's argument that
+every independent set lies inside one of them up to an automorphism: the
+oracle splits its class graph on head/tail labellings, whose parts hold no
+size-t1 edge, so the cover bounds them far more tightly than the whole
+graph. The parts share one incumbent, largest part first, and each prunes
+its root by the symmetries that map it onto itself.
 """
 
 from functools import lru_cache
@@ -138,7 +145,7 @@ def _bits(n: int) -> tuple[int, ...]:
 
 
 def max_independent_set_size(
-    adj: list[int], live: int, symmetries=(), target: int | None = None
+    adj: list[int], live: int, symmetries=(), target: int | None = None, parts=None
 ) -> int:
     """Size of a largest independent set among the live vertices, or, given
     target, the first size found that reaches it.
@@ -157,6 +164,15 @@ def max_independent_set_size(
     every independent set through v is ruled out, so every set through the
     image of v under a symmetry is too (the symmetry's inverse maps it to
     one through v); those images leave the root's candidates with v.
+
+    parts, if given, is a sequence of (part, fixing) pairs, part a vertex
+    mask and fixing a list of symmetries as above that map part onto
+    itself. Every independent set of live must lie inside some part, up to
+    one of the graph's automorphisms, so the largest set inside a part is
+    the largest of all. The search then runs on part & live in place of
+    live, with fixing in place of symmetries, for each part, largest first;
+    the parts share the incumbent and the target, and a part no larger
+    than the incumbent is skipped.
     """
     best = 0
     stop = float("inf") if target is None else target
@@ -182,7 +198,12 @@ def max_independent_set_size(
             for image in symmetries:
                 cand &= ~bits[image(v)]
 
-    expand(live, 0, symmetries)
+    parts = [(live, symmetries)] if parts is None else parts
+    for part, fixing in sorted(((part & live, fixing) for part, fixing in parts),
+                               key=lambda pair: pair[0].bit_count(), reverse=True):
+        if part.bit_count() <= best or best >= stop:
+            break  # so is every later part
+        expand(part, 0, fixing)
     return best
 
 

@@ -5,7 +5,7 @@ check those against the plain enumerations here. Each enumeration is
 capped so that a test cannot ask for an exponential run by accident.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from overlapcodes import BitWord, CapacityError, DomainError
 from overlapcodes.words import int_overlap
@@ -113,6 +113,32 @@ def count_cyclic_run_free_brute(a: int) -> int:
         raise CapacityError(f"brute force capped at a = {NU_BRUTE_CAP}")
     ell, z = 1 << a, a - 1
     return sum(1 for w in range(1 << ell) if max_cyclic_zero_run(w, ell) < z)
+
+
+LABELLING_BRUTE_CAP = 3
+
+
+def labelling_parts(classes: list[tuple[str, str]], t1: int) -> dict:
+    """For each labelling A of the t1-bit words, a frozenset of bit strings
+    (A the head words, the rest the tail words): the mask of the classes,
+    (head, tail) pairs of equal-width bit strings, whose t1-prefix of head
+    is in A and whose t1-suffix of tail is not, and the images of A under
+    reversal (rev of the tail words, since reversing a word swaps its ends),
+    complement (every bit flipped) and both. Returns {A: (mask, images)}."""
+    if t1 > LABELLING_BRUTE_CAP:
+        raise CapacityError(f"labellings capped at t1 = {LABELLING_BRUTE_CAP}")
+    words = ["".join(bits) for bits in product("01", repeat=t1)]
+    flip = str.maketrans("01", "10")
+    parts = {}
+    for size in range(len(words) + 1):
+        for labelling in map(frozenset, combinations(words, size)):
+            mask = sum(1 << i for i, (head, tail) in enumerate(classes)
+                       if head[:t1] in labelling and tail[-t1:] not in labelling)
+            mirror = frozenset(w[::-1] for w in words if w not in labelling)
+            images = (mirror, frozenset(w.translate(flip) for w in labelling),
+                      frozenset(w.translate(flip) for w in mirror))
+            parts[labelling] = mask, images
+    return parts
 
 
 MIS_BRUTE_CAP = 48

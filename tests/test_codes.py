@@ -27,7 +27,7 @@ from overlapcodes import (
     zero_block,
 )
 from overlapcodes.words import int_overlap, set_bits
-from oracles import first_independent_set, max_degree_refinement
+from oracles import first_independent_set, labelling_parts, max_degree_refinement
 
 
 def syst(k, p, s):
@@ -347,11 +347,61 @@ def test_oracle_proof_is_unchanged_by_symmetry_pruning():
                 assert pruned == search.max_independent_set_size(adj, live), (n, t1, t2)
 
 
+def label_part_cases():
+    """(where, conflict rows, classes as bit strings, parts) for every triple
+    with n <= 7, t1 <= 3 and t1 < t2, on the degree order the proof runs on."""
+    for n in range(3, 8):
+        for t1 in range(1, min(n - 1, 4)):
+            for t2 in range(t1 + 1, n):
+                sigs = kept_signatures(n, t1, t2)
+                _, ranked, adj = codes._by_degree(
+                    sigs, codes._conflict_rows(sigs, t1, t2), t1, t2)
+                parts = codes._label_parts(ranked, t1, t2, codes._symmetries(ranked, t2))
+                classes = [(format(h, f"0{t2}b"), format(t, f"0{t2}b")) for h, t in ranked]
+                yield (n, t1, t2), adj, classes, parts
+
+
+def test_oracle_label_parts_have_no_clash_at_t1():
+    # a class paired with itself included: no t1-prefix of the part's heads
+    # is a t1-suffix of its tails
+    for (n, t1, t2), _, classes, parts in label_part_cases():
+        for part, _ in parts:
+            members = [classes[i] for i in set_bits(part)]
+            assert not ({head[:t1] for head, _ in members}
+                        & {tail[-t1:] for _, tail in members}), (n, t1, t2)
+
+
+def test_oracle_label_parts_cover_every_labelling_up_to_symmetry():
+    for (n, t1, t2), _, classes, parts in label_part_cases():
+        reference = labelling_parts(classes, t1)
+        returned = {part for part, _ in parts}
+        assert returned <= {part for part, _ in reference.values()}, (n, t1, t2)
+        for labelling, (part, images) in reference.items():
+            assert part in returned or any(
+                reference[image][0] in returned for image in images), (n, t1, t2, labelling)
+
+
+def test_oracle_label_parts_list_only_symmetries_that_fix_them():
+    for (n, t1, t2), _, _, parts in label_part_cases():
+        for part, fixing in parts:
+            for symmetry in fixing:
+                assert sum(1 << symmetry(i) for i in set_bits(part)) == part, (n, t1, t2)
+
+
+def test_oracle_size_on_label_parts_is_the_whole_graph_size():
+    for (n, t1, t2), adj, classes, parts in label_part_cases():
+        live = (1 << len(classes)) - 1
+        assert search.max_independent_set_size(adj, live, parts=parts) == (
+            search.max_independent_set_size(adj, live)), (n, t1, t2)
+
+
 def test_oracle_size_proofs_visit_the_pinned_nodes(monkeypatch):
     # One clique cover per node of the colour-ordered proof. A slip in the
     # degree numbering or in the cover's direction keeps every output but
     # can cost the proof 6-10x, so the counts are pinned; a stronger bound
-    # (ROADMAP item 4) updates these pins on purpose.
+    # (ROADMAP item 4) updates these pins on purpose. (9, 3, 8) and
+    # (8, 3, 7) run on the head/tail labelling parts (6,239 and 636 nodes
+    # without them); (7, 4, 5), with t1 = 4, runs on the whole graph.
     calls, proofs = [0], []
     cover, size = search._clique_cover, search.max_independent_set_size
 
@@ -367,7 +417,7 @@ def test_oracle_size_proofs_visit_the_pinned_nodes(monkeypatch):
 
     monkeypatch.setattr(search, "_clique_cover", counted_cover)
     monkeypatch.setattr(search, "max_independent_set_size", counted_size)
-    for (n, t1, t2), nodes in (((9, 3, 8), 6239), ((7, 4, 5), 754), ((8, 3, 7), 636)):
+    for (n, t1, t2), nodes in (((9, 3, 8), 974), ((7, 4, 5), 754), ((8, 3, 7), 213)):
         proofs.clear()
         brute_force_max_code(n, t1, t2)
         assert proofs == [nodes], (n, t1, t2)
@@ -394,6 +444,18 @@ def test_oracle_plain_output_is_pinned_where_the_proof_is_long():
     for n, t1, t2 in [(7, 5, 6), (8, 4, 6)]:
         h.update(f"{n} {t1} {t2}: {brute_force_max_code(n, t1, t2)[1].words}\n".encode())
     assert h.hexdigest() == "b9e721ba253ae117f2d0a6db5e5258aad8bbd55cf03eaea240d4d987237c8094"
+
+
+def test_oracle_plain_output_is_pinned_where_the_labelling_split_cuts_most():
+    # the size proofs of these run on the head/tail labelling parts; the
+    # digest was taken before the split
+    h = hashlib.sha256()
+    for (n, t1, t2), size in (((8, 3, 6), 29), ((9, 3, 5), 79), ((9, 3, 7), 47),
+                              ((10, 3, 5), 156), ((10, 2, 9), 37)):
+        got, code = brute_force_max_code(n, t1, t2)
+        assert got == size, (n, t1, t2)
+        h.update(f"{n} {t1} {t2}: {code.words}\n".encode())
+    assert h.hexdigest() == "6b193249f8d1f20ead454faf2bc4bda7c3f59b423881a2af231dc5f636b78327"
 
 
 def test_oracle_sizes_match_an_integer_program():

@@ -210,6 +210,21 @@ def test_root_symmetry_pruning_keeps_the_optimum(graph):
 
 
 @settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_colour_ordered_size_over_parts_is_the_optimum(graph, data):
+    # split on a vertex v: every independent set leaves v out or lies among
+    # v and its non-neighbours; the parts carry bits outside live
+    adj, live = graph
+    n = len(adj)
+    v = data.draw(st.integers(0, n - 1)) if n else 0
+    without = ~(1 << v)
+    parts = [(without, []), (~adj[v] if n else 0, [])]
+    want = max_independent_set_brute(adj, live)
+    assert max_independent_set_size(adj, live, parts=parts) == want
+    assert max_independent_set_size(adj, live, parts=parts[::-1]) == want
+
+
+@settings(max_examples=150, deadline=None)
 @given(graphs(), st.integers(0, 12))
 def test_colour_ordered_search_stops_at_the_target(graph, target):
     adj, live = graph
